@@ -26,6 +26,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 sys.path.insert(0, HERE)
 
+import batch  # noqa: E402
 import corpus  # noqa: E402
 import run  # noqa: E402
 import service  # noqa: E402
@@ -101,7 +102,7 @@ def test_a_stall_raises_the_latency_of_later_requests():
     try:
         manifests = [{"jobs": [{}]} for _ in range(6)]
         requests = service.open_loop(
-            submitter, manifests, rate=20.0, start=submitter.clock() + 0.05
+            submitter, manifests, rate=20.0, start=time.monotonic() + 0.05
         )
     finally:
         submitter.close()
@@ -149,7 +150,7 @@ def tiny(monkeypatch):
 @pytest.mark.parametrize("trace", [0, 1])
 @pytest.mark.parametrize("workload", run.WORKLOADS)
 def test_smoke_run_prints_every_metric(tiny, capsys, workload, trace):
-    argv = ["--workload", workload, "--seed", "5", "--seconds", "0.5",
+    argv = ["--workload", workload, "--seed", "5", "--seconds", "2",
             "--trace", str(trace)]
     assert run.main(argv) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -163,6 +164,9 @@ def test_smoke_run_prints_every_metric(tiny, capsys, workload, trace):
         (m["name"], m["unit"]) for m in section
     ]
     assert set(report["machine"]) == {"nproc", "python", "numpy", "commit"}
+    if workload in batch.BATCHES and not trace:
+        # A fixed count, however fast the batches ran.
+        assert report["batches"] == batch.BATCHES[workload]
 
 
 def test_missing_sources_exit_nonzero(tmp_path, monkeypatch, capsys):

@@ -30,7 +30,7 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.engine import CompilationEngine
 from repro.engine.cache import MemoryCache
@@ -61,7 +61,8 @@ DRAIN_PER_S = 100.0
 BULK_REPEAT = 4
 #: Daemon rounds per untraced run: each starts a daemon (the set-up),
 #: runs both phases for its share of the seconds and stops it.  Timings
-#: keep the best round; a slower one is interference from other tenants.
+#: and setup_s keep the best round; a slower one is interference from
+#: other tenants.
 ROUNDS = 2
 #: Longest silence tolerated from the daemon before the run fails.
 STALL_LIMIT_S = 60.0
@@ -107,12 +108,10 @@ class Channel:
 class Submitter:
     """Single-threaded multiplexer of submissions over channels."""
 
-    def __init__(self, address: str, connections: int,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        self.clock = clock
+    def __init__(self, address: str, connections: int) -> None:
         self.selector = selectors.DefaultSelector()
         self.channels = [
-            Channel(address, clock()) for _ in range(connections)
+            Channel(address, time.monotonic()) for _ in range(connections)
         ]
         for channel in self.channels:
             self.selector.register(channel.sock, selectors.EVENT_READ,
@@ -131,7 +130,7 @@ class Submitter:
         return any(c.request is not None for c in self.channels)
 
     def start(self, channel: Channel, request: Request) -> None:
-        now = self.clock()
+        now = time.monotonic()
         request.sent = now
         request.lag = now - max(request.due, channel.free_since)
         channel.request = request
@@ -148,7 +147,7 @@ class Submitter:
             chunk = channel.sock.recv(1 << 20)
             if not chunk:
                 raise ConnectionError("daemon closed a connection")
-            now = self.clock()
+            now = time.monotonic()
             channel.buffer += chunk
             while b"\n" in channel.buffer:
                 line, _, channel.buffer = channel.buffer.partition(b"\n")
@@ -185,7 +184,7 @@ def open_loop(submitter: Submitter, manifests: list[dict], rate: float,
     waiting: deque[Request] = deque()
     released = 0
     while True:
-        now = submitter.clock()
+        now = time.monotonic()
         while released < len(requests) and requests[released].due <= now:
             waiting.append(requests[released])
             released += 1
@@ -199,7 +198,7 @@ def open_loop(submitter: Submitter, manifests: list[dict], rate: float,
         if released < len(requests) and not waiting:
             # With submissions already waiting for a connection, only
             # a reply can free one: block on the daemon, do not spin.
-            timeout = max(requests[released].due - submitter.clock(), 0.0)
+            timeout = max(requests[released].due - time.monotonic(), 0.0)
         submitter.poll(timeout)
 
 
@@ -213,7 +212,7 @@ def closed_loop(submitter: Submitter, manifest: dict,
         for channel in submitter.free():
             if len(requests) == count:
                 break
-            request = Request(manifest, submitter.clock())
+            request = Request(manifest, time.monotonic())
             requests.append(request)
             submitter.start(channel, request)
         if not submitter.busy():
@@ -371,8 +370,8 @@ def _phases(daemon: Daemon, seed: int, seconds: float, pool: list[dict],
     submitter = Submitter(daemon.address, len(os.sched_getaffinity(0)))
     try:
         phase_a = open_loop(submitter, manifests, RATE_PER_S,
-                            submitter.clock() + 0.05)
-        b_start = submitter.clock()
+                            time.monotonic() + 0.05)
+        b_start = time.monotonic()
         phase_b = closed_loop(submitter, bulk, bulk_count)
     finally:
         submitter.close()
@@ -406,7 +405,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     ]
     jobs_per_s = max(r.jobs_per_s for r in plain)
     out.metrics = {
-        "setup_s": median([r.setup_s for r in rounds]),
+        "setup_s": min(r.setup_s for r in rounds),
         "batch_s": median(manifest_s),
         "texe_us_geomean": geomean(
             [r["execution_time_us"] for r in records]
