@@ -29,8 +29,8 @@ HELD_OUT_SEED = 9001
 TABLE2_ROWS = PAPER_ORDER
 #: Backends of the Table-2 part of the batch (the paper's comparison).
 TABLE2_BACKENDS = ("powermove", "enola")
-#: Instance seeds drawn per Table-2 row (one keeps a cold batch near
-#: 8 s, so a 20 s run measures three of them).
+#: Instance seeds drawn per Table-2 row (one keeps a cold batch at 8
+#: to 15 s, so a run's three cold batches fit the time budget).
 TABLE2_SEEDS_PER_ROW = 1
 #: The random-3-regular ladder: (qubits, backends).  enola-windowed at
 #: 4096 is left out: its fidelity replay alone costs ~17 s per job.
