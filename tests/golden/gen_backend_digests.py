@@ -26,6 +26,7 @@ from repro.circuits.generators import (
     vqe_linear_entanglement,
 )
 from repro.pipeline import REGISTRY, create_compiler, get_backend
+from repro.schedule import NAProgram
 from repro.schedule.serialize import program_digest
 
 #: Cheap knobs per config family so the whole matrix compiles in
@@ -74,7 +75,8 @@ def cells():
     yield from EXTRA_CELLS
 
 
-def digest_for(backend: str, workload: str, seed: int) -> str:
+def compile_cell(backend: str, workload: str, seed: int) -> NAProgram:
+    """Compile one (backend, workload, seed) cell of the pin."""
     spec = get_backend(backend)
     override = FAST_OVERRIDES.get(backend)
     if override is not None and seed != override.seed:
@@ -83,8 +85,11 @@ def digest_for(backend: str, workload: str, seed: int) -> str:
         override = replace(override, seed=seed)
     config = spec.effective_config(override, seed, 1)
     compiler = create_compiler(backend, config)
-    result = compiler.compile(WORKLOADS[workload]())
-    return program_digest(result.program)
+    return compiler.compile(WORKLOADS[workload]()).program
+
+
+def digest_for(backend: str, workload: str, seed: int) -> str:
+    return program_digest(compile_cell(backend, workload, seed))
 
 
 def main() -> None:
