@@ -17,7 +17,6 @@ from .continuous_router import (
     ContinuousRouter,
     RoutedStage,
     RoutingError,
-    route_and_group,
 )
 from .stage_scheduler import (
     Stage,
@@ -42,7 +41,6 @@ __all__ = [
     "order_coll_moves",
     "order_stages",
     "partition_stages",
-    "route_and_group",
     "schedule_block",
     "schedule_coll_moves",
     "transition_cost",

@@ -40,7 +40,7 @@ from typing import Any
 
 from ..hardware.geometry import Site, Zone, ZonedArchitecture
 from ..hardware.layout import Layout
-from ..hardware.moves import CollMove, Move, group_moves
+from ..hardware.moves import Move
 
 try:  # optional: vectorised site search (CI's minimal env lacks numpy)
     import numpy as _np
@@ -467,18 +467,6 @@ class _StagePlan:
         )
 
 
-def route_and_group(
-    router: ContinuousRouter,
-    layout: Layout,
-    pairs: list[tuple[int, int]],
-    distance_aware: bool = True,
-) -> tuple[RoutedStage, list[CollMove]]:
-    """Route a stage and group its moves into CollMoves (Sec. 5.2 + 5.3)."""
-    routed = router.route_stage(layout, pairs)
-    groups = group_moves(routed.moves, distance_aware=distance_aware)
-    return routed, groups
-
-
 __all__ = [
     "ContinuousRouter",
     "MOBILE",
@@ -486,5 +474,4 @@ __all__ = [
     "RoutingError",
     "STATIC",
     "UNDECIDED",
-    "route_and_group",
 ]

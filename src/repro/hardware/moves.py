@@ -175,19 +175,65 @@ def group_moves(
 
     Each move goes to the first existing group it does not conflict with,
     else it opens a new group.
+
+    The scan runs on plain ``(sx, sy, dx, dy)`` float tuples rather than
+    on :class:`Move` objects, with the Fig. 5 predicate of
+    :func:`moves_conflict` written inline: for ``a`` and ``b`` the
+    source and destination offsets along one axis,
+    ``(a > eps) != (b > eps) or (a < -eps) != (b < -eps)`` is, for every
+    float (NaN included), exactly ``_sign(a) != _sign(b)``.  Each group's
+    first member is tested before the others, since it rejects most
+    candidates; which members are tested, and in what order, cannot
+    change a verdict that needs every member to pass.  The winner is
+    still the lowest-index accepting group and members are appended in
+    the same order, so the groups equal those of a first-fit scan over
+    :meth:`CollMove.accepts`.
+
+    There is no per-group sorted index and no numpy path: groups stay
+    small (tens of members at 4096 qubits), so per-group bookkeeping
+    costs more than the flat scan, and numpy would need a scalar
+    fallback, i.e. a second grouping path.
     """
     ordered = list(moves)
     if distance_aware:
         ordered.sort(key=lambda m: (m.distance, m.qubit))
-    groups: list[CollMove] = []
+    eps = _COORD_EPS
+    neg = -_COORD_EPS
+    # One entry per open group, in group order: the first member's
+    # coordinates, the other members' coordinate tuples, and the moves.
+    groups: list[tuple] = []
     for move in ordered:
-        for group in groups:
-            if group.accepts(move):
-                group.moves.append(move)
+        source = move.source
+        destination = move.destination
+        sx = source.x
+        sy = source.y
+        dx = destination.x
+        dy = destination.y
+        for fsx, fsy, fdx, fdy, rest, members in groups:
+            a = sx - fsx
+            b = dx - fdx
+            if (a > eps) != (b > eps) or (a < neg) != (b < neg):
+                continue
+            a = sy - fsy
+            b = dy - fdy
+            if (a > eps) != (b > eps) or (a < neg) != (b < neg):
+                continue
+            for bsx, bsy, bdx, bdy in rest:
+                a = sx - bsx
+                b = dx - bdx
+                if (a > eps) != (b > eps) or (a < neg) != (b < neg):
+                    break
+                a = sy - bsy
+                b = dy - bdy
+                if (a > eps) != (b > eps) or (a < neg) != (b < neg):
+                    break
+            else:
+                members.append(move)
+                rest.append((sx, sy, dx, dy))
                 break
         else:
-            groups.append(CollMove(moves=[move]))
-    return groups
+            groups.append((sx, sy, dx, dy, [], [move]))
+    return [CollMove(moves=members) for *_, members in groups]
 
 
 __all__ = ["CollMove", "Move", "group_moves", "moves_conflict"]
