@@ -1,14 +1,22 @@
 """Fleet coordinator: one front door over N compilation daemons.
 
 ``repro coordinate`` runs a :class:`Coordinator` -- an asyncio NDJSON
-front end (:class:`~repro.service.aio.AsyncServerCore`) speaking the
-*same* wire protocol as ``repro serve`` (``submit`` / ``status`` /
-``results`` / ``ping`` / ``metrics`` / ``trace`` / ``shutdown``), so
-every existing client --
+front end speaking the *same* wire protocol as ``repro serve``
+(``submit`` / ``status`` / ``results`` / ``ping`` / ``metrics`` /
+``trace`` / ``shutdown``), so every existing client --
 ``repro submit``, ``repro results --follow``, :class:`ServiceClient`,
 the load generator -- talks to a fleet exactly as it talks to one
 daemon.  Daemons are listed statically (``--daemon``) or register
 themselves (``repro serve --announce``, the ``register`` op).
+
+The protocol itself -- auth, id checks, ``shutdown``, the ``submit``
+preamble and the ``results`` stream -- is the front door shared with
+the daemon (:class:`~repro.service.aio.AsyncServerCore`); the
+coordinator supplies its op table (``metrics``/``submit`` off the
+loop), a results view over its in-memory fleet submissions, and
+placement, legs and stealing.  It is also the
+:class:`~repro.service.aio.ChangeFeed` its result streams and drain
+wait on: every record arrival or fleet change notifies it.
 
 **Cache-affinity placement.**  Every expanded job routes to a daemon
 by rendezvous (highest-random-weight) hashing of its content-addressed
@@ -40,11 +48,12 @@ but loses no daemon-side work.
 
 **Tenancy.**  Started with ``--tenants FILE`` the coordinator is the
 fleet's policy front door: it authenticates every request
-(:func:`~repro.service.tenancy.authorize_request`), enforces the
-per-tenant submit rate limit, per-submission size quota and
-outstanding-jobs quota *globally* (the per-daemon slices of a
-tenant's work cannot see each other, so daemons skip admission for
-fleet-token legs), and namespaces fleet submission ids per tenant.
+(:func:`~repro.service.tenancy.authorize_request`), runs tenant
+admission (:func:`~repro.service.tenancy.admit_submit`: rate limit,
+per-submission size quota, outstanding-jobs quota) *globally* against
+the fleet-wide outstanding count (the per-daemon slices of a tenant's
+work cannot see each other, so daemons skip admission for fleet-token
+legs), and namespaces fleet submission ids per tenant.
 Outbound legs carry the shared fleet token plus a ``tenant`` field,
 so daemon-side records, queues and metrics keep per-tenant
 attribution end to end.
@@ -52,21 +61,15 @@ attribution end to end.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
-import threading
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from ..engine.cache import job_cache_key
-from ..engine.jobs import job_to_doc
-from ..engine.manifest import (
-    ManifestError,
-    manifest_digest,
-    parse_manifest,
-)
+from ..engine.jobs import CompileJob, job_to_doc
+from ..engine.manifest import manifest_digest
 from ..obs.metrics import MetricsRegistry, render_prometheus_doc
-from .aio import AsyncServerCore
+from .aio import AsyncServerCore, ChangeFeed, ResultsView
 from .client import ServiceClient, ServiceError
 from .protocol import (
     MAX_LINE_BYTES,
@@ -74,16 +77,8 @@ from .protocol import (
     ProtocolError,
     error_reply,
     parse_address,
-    write_message_async,
 )
-from .server import RESULTS_POLL_MIN_S, _next_idle_timeout
-from .tenancy import (
-    OPEN_CONTEXT,
-    AuthContext,
-    TenantRegistry,
-    authorize_request,
-    resolve_registry,
-)
+from .tenancy import OPEN_CONTEXT, AuthContext, TenantRegistry, admit_submit
 
 #: Queue depth (queued + running) at which affinity placement spills
 #: to the next rendezvous choice.
@@ -244,7 +239,7 @@ class _FleetSubmission:
         return len(self.records) >= self.total_jobs
 
 
-class Coordinator(AsyncServerCore):
+class Coordinator(AsyncServerCore, ChangeFeed):
     """The fleet front door (see module docstring).
 
     Args:
@@ -262,6 +257,8 @@ class Coordinator(AsyncServerCore):
             open v1-compatible behaviour.
     """
 
+    role = "coordinator"
+
     def __init__(
         self,
         address: str = "127.0.0.1:0",
@@ -277,16 +274,13 @@ class Coordinator(AsyncServerCore):
             address,
             max_line_bytes=max_line_bytes,
             name="repro-coordinator",
+            tenants=tenants,
         )
+        # Notified on every record arrival / fleet change.
+        ChangeFeed.__init__(self)
         self.spill_depth = spill_depth
         self.poll_interval = poll_interval
         self.steal_batch = steal_batch
-        self.tenants = resolve_registry(tenants)
-        self._lock = threading.RLock()
-        #: Notified on every record arrival / fleet change; followed
-        #: result streams bridge it into their event loop.
-        self.changed = threading.Condition(self._lock)
-        self._listeners: list[Callable[[], None]] = []
         self._daemons: dict[str, _Daemon] = {}
         for daemon_address in daemons:
             parse_address(daemon_address)  # validate eagerly
@@ -295,7 +289,6 @@ class Coordinator(AsyncServerCore):
         # Coordinator-level registry: placement decisions only (the
         # per-daemon compile/queue/cache series come from the daemons'
         # own registries; the ``metrics`` op merges everything).
-        self.metrics = MetricsRegistry()
         self._m_placements = self.metrics.counter(
             "repro_placements_total",
             "Jobs placed on each daemon by affinity placement.",
@@ -314,44 +307,19 @@ class Coordinator(AsyncServerCore):
             "repro_redispatches_total",
             "Jobs re-placed after a daemon loss.",
         )
-        # Per-tenant families (all zero unless a tenants file is in
-        # force).  Submissions and throttles are counted here -- the
-        # fleet front door -- and NOT again by the daemons for fleet
-        # legs, so the merged fleet view stays double-count-free.
-        self._m_tenant_submissions = self.metrics.counter(
-            "repro_tenant_submissions_total",
-            "Client submissions accepted, per tenant.",
-            ("tenant",),
-        )
-        self._m_tenant_throttles = self.metrics.counter(
-            "repro_tenant_throttles_total",
-            "Submissions rejected by tenancy admission control.",
-            ("tenant", "reason"),
-        )
         self._m_tenant_placements = self.metrics.counter(
             "repro_tenant_placements_total",
             "Jobs placed on daemons, per owning tenant.",
             ("tenant",),
         )
         self._seq = 0
-        self._threads: list[threading.Thread] = []
-        self._stopping = threading.Event()
-        self._draining = threading.Event()
-        self._stopped = threading.Event()
-        self.started_at = time.time()
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "Coordinator":
         """Bind the front door and spawn the fleet monitor."""
         self.start_listener()
-        monitor = threading.Thread(
-            target=self._monitor_loop,
-            name="repro-coordinator-monitor",
-            daemon=True,
-        )
-        self._threads.append(monitor)
-        monitor.start()
+        self._threads.append(self._spawn("monitor", self._monitor_loop))
         return self
 
     def stop(
@@ -380,7 +348,7 @@ class Coordinator(AsyncServerCore):
                 timeout=timeout,
             )
         self._stopping.set()
-        self._poke()
+        self.poke()
         if fleet:
             for daemon in self._alive_daemons():
                 try:
@@ -391,69 +359,8 @@ class Coordinator(AsyncServerCore):
                         f"{exc}"
                     )
         self.stop_listener()
-        for thread in self._threads:
-            if thread is not threading.current_thread():
-                thread.join(timeout=10.0)
+        self._join_threads()
         self._stopped.set()
-
-    def wait_stopped(self, timeout: float | None = None) -> bool:
-        """Block until the coordinator has fully stopped."""
-        return self._stopped.wait(timeout)
-
-    @property
-    def draining(self) -> bool:
-        """Whether the coordinator still accepts submissions."""
-        return self._draining.is_set()
-
-    def wait(
-        self,
-        predicate: Callable[[], bool],
-        timeout: float | None = None,
-    ) -> bool:
-        """Block until ``predicate()`` holds or ``timeout`` elapses."""
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        with self.changed:
-            while not predicate():
-                remaining = (
-                    None
-                    if deadline is None
-                    else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                self.changed.wait(remaining)
-            return True
-
-    def _log(self, message: str) -> None:
-        print(f"repro-coordinator: {message}", flush=True)
-
-    # -- change notification (mirrors JobQueue's bridge) ---------------
-
-    def add_listener(self, callback: Callable[[], None]) -> None:
-        with self._lock:
-            self._listeners.append(callback)
-
-    def remove_listener(self, callback: Callable[[], None]) -> None:
-        with self._lock:
-            try:
-                self._listeners.remove(callback)
-            except ValueError:
-                pass
-
-    def _notify_all(self) -> None:
-        # Caller holds the lock.
-        self.changed.notify_all()
-        for callback in list(self._listeners):
-            try:
-                callback()
-            except Exception:
-                pass
-
-    def _poke(self) -> None:
-        with self.changed:
-            self._notify_all()
 
     # -- fleet bookkeeping ---------------------------------------------
 
@@ -462,12 +369,8 @@ class Coordinator(AsyncServerCore):
             address,
             timeout=10.0,
             connect_retry_s=1.0,
-            token=self._fleet_token(),
+            token=self._fleet_token,
         )
-
-    def _fleet_token(self) -> str | None:
-        """The clear fleet token every daemon-bound request presents."""
-        return None if self.tenants is None else self.tenants.fleet_token
 
     def _alive_daemons(self) -> list[_Daemon]:
         with self._lock:
@@ -489,87 +392,36 @@ class Coordinator(AsyncServerCore):
 
     # -- submission + placement ----------------------------------------
 
-    def _check_tenant_submit(
+    def _admit(
         self, ctx: AuthContext, num_jobs: int
     ) -> dict[str, Any] | None:
-        """Global tenancy admission control: rate limit, then
-        per-submission size quota, then fleet-wide outstanding-jobs
-        quota (the coordinator is the only place that can see a
-        tenant's work across every daemon).  Returns an error reply,
-        or ``None`` to admit."""
-        tenant = ctx.tenant
-        if tenant is None or self.tenants is None:
-            return None
-        retry_after = self.tenants.acquire_submit(tenant)
-        if retry_after > 0.0:
-            self._m_tenant_throttles.inc(
-                tenant=tenant.name, reason="rate_limit"
-            )
-            return error_reply(
-                "rate_limited",
-                f"tenant {tenant.name!r} exceeded its submit rate; "
-                f"retry in {retry_after:.3f}s",
-                retry_after_s=round(retry_after, 3),
-            )
-        cap = tenant.max_jobs_per_submission
-        if cap is not None and num_jobs > cap:
-            self._m_tenant_throttles.inc(
-                tenant=tenant.name, reason="submission_quota"
-            )
-            return error_reply(
-                "quota_exceeded",
-                f"submission has {num_jobs} jobs; tenant "
-                f"{tenant.name!r} is limited to {cap} per submission",
-            )
-        cap = tenant.max_queued_jobs
-        if cap is not None:
-            outstanding = self._tenant_outstanding(tenant.name)
-            if outstanding + num_jobs > cap:
-                self._m_tenant_throttles.inc(
-                    tenant=tenant.name, reason="queued_quota"
+        def outstanding() -> int:
+            # Jobs the tenant submitted that still lack a record.
+            with self._lock:
+                return sum(
+                    entry.total_jobs - len(entry.records)
+                    for entry in self._submissions.values()
+                    if entry.tenant == ctx.name
                 )
-                return error_reply(
-                    "quota_exceeded",
-                    f"tenant {tenant.name!r} has {outstanding} "
-                    f"outstanding job(s) across the fleet; {num_jobs} "
-                    f"more would exceed its quota of {cap}",
-                )
-        return None
 
-    def _tenant_outstanding(self, tenant_name: str) -> int:
-        """Jobs submitted by ``tenant_name`` still without a record."""
-        with self._lock:
-            return sum(
-                entry.total_jobs - len(entry.records)
-                for entry in self._submissions.values()
-                if entry.tenant == tenant_name
-            )
+        return admit_submit(
+            self.tenants,
+            ctx,
+            num_jobs,
+            outstanding,
+            self._m_tenant_throttles,
+            scope=" across the fleet",
+        )
 
-    def _submit(
-        self, request: dict[str, Any], ctx: AuthContext = OPEN_CONTEXT
+    def _enqueue(
+        self,
+        manifest_doc: Any,
+        jobs: list[CompileJob],
+        priority: int,
+        ctx: AuthContext,
     ) -> dict[str, Any]:
-        if self.draining:
-            return error_reply(
-                "draining",
-                "coordinator is draining; not accepting submissions",
-            )
-        manifest_doc = request.get("manifest")
-        if manifest_doc is None:
-            return error_reply("bad_request", "submit needs a 'manifest'")
-        priority = request.get("priority", 0)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            return error_reply(
-                "bad_request", "'priority' must be an integer"
-            )
-        try:
-            jobs = parse_manifest(manifest_doc)
-            cache_keys = [job_cache_key(job) for job in jobs]
-            job_docs = [job_to_doc(job) for job in jobs]
-        except ManifestError as exc:
-            return error_reply("bad_request", f"bad manifest: {exc}")
-        rejection = self._check_tenant_submit(ctx, len(jobs))
-        if rejection is not None:
-            return rejection
+        cache_keys = [job_cache_key(job) for job in jobs]
+        job_docs = [job_to_doc(job) for job in jobs]
         digest = manifest_digest(manifest_doc)
         tenant_name = ctx.name
         with self.changed:
@@ -707,15 +559,12 @@ class Coordinator(AsyncServerCore):
             self._m_tenant_placements.inc(
                 len(indices), tenant=submission.tenant
             )
-        collector = threading.Thread(
-            target=self._collect,
-            args=(submission, leg),
-            name=(
-                f"repro-coordinator-collect-{submission.id}-{address}"
-            ),
-            daemon=True,
+        self._spawn(
+            f"collect-{submission.id}-{address}",
+            self._collect,
+            submission,
+            leg,
         )
-        collector.start()
         return True
 
     def _redispatch(
@@ -754,12 +603,7 @@ class Coordinator(AsyncServerCore):
         daemon is declared dead and the leftovers re-dispatched, or
         the coordinator stops.
         """
-        client = ServiceClient(
-            leg.daemon,
-            timeout=10.0,
-            connect_retry_s=1.0,
-            token=self._fleet_token(),
-        )
+        client = self._client(leg.daemon)
         while not self._stopping.is_set():
             try:
                 summary: dict[str, Any] | None = None
@@ -832,11 +676,7 @@ class Coordinator(AsyncServerCore):
             self._retry_pending()
             if self.steal_batch > 0:
                 self._steal_round()
-            if self.tenants is not None and self.tenants.maybe_reload():
-                self._log(
-                    f"tenants file reloaded: "
-                    f"{len(self.tenants.tenants())} tenant(s)"
-                )
+            self._reload_tenants()
 
     def _refresh_daemons(self) -> None:
         for daemon in list(self._daemons.values()):
@@ -931,85 +771,27 @@ class Coordinator(AsyncServerCore):
 
     # -- protocol dispatch ---------------------------------------------
 
-    async def dispatch_async(
-        self, request: dict[str, Any], writer: asyncio.StreamWriter
-    ) -> bool:
-        """Answer one request; ``False`` ends the connection."""
-        op = request.get("op")
-        if op == "ping":
-            # Liveness stays unauthenticated: wait_ready and the fleet
-            # monitor must work before anyone holds a token.
-            await write_message_async(writer, self._ping())
-            return True
-        ctx, rejection = authorize_request(self.tenants, request)
-        if rejection is not None:
-            await write_message_async(writer, rejection)
-            return True
-        if op == "register":
-            await write_message_async(
-                writer, self._register(request, ctx)
-            )
-            return True
-        if op == "metrics":
+    def op_table(self):
+        return {
+            "ping": (self._ping, False),
             # Polls every live daemon: keep it off the event loop.
-            reply = await asyncio.to_thread(self._metrics)
-            await write_message_async(writer, reply)
-            return True
-        if op == "trace":
-            await write_message_async(writer, self._trace(request, ctx))
-            return True
-        if op == "submit":
+            "metrics": (self._metrics, True),
             # Manifest expansion, cache-key hashing and the daemon
             # round-trips all block: keep them off the event loop.
-            reply = await asyncio.to_thread(self._submit, request, ctx)
-            await write_message_async(writer, reply)
-            return True
-        if op == "status":
-            await write_message_async(
-                writer, self._status(request, ctx)
-            )
-            return True
-        if op == "results":
-            await self._results(request, writer, ctx)
-            return True
-        if op == "shutdown":
-            if not ctx.admin:
-                await write_message_async(
-                    writer,
-                    error_reply(
-                        "forbidden",
-                        "shutdown requires the admin capability",
-                    ),
-                )
-                return True
-            drain = bool(request.get("drain", True))
-            fleet = bool(request.get("fleet", False))
-            await write_message_async(
-                writer,
-                {
-                    "ok": True,
-                    "op": "shutdown",
-                    "drain": drain,
-                    "fleet": fleet,
-                },
-            )
-            threading.Thread(
-                target=self.stop,
-                kwargs={"drain": drain, "fleet": fleet},
-                name="repro-coordinator-shutdown",
-                daemon=True,
-            ).start()
-            return False
-        await write_message_async(
-            writer,
-            error_reply("unknown_op", f"unknown op {op!r}"),
-        )
-        return True
+            "submit": (self._submit, True),
+            "status": (self._status, False),
+            "trace": (self._trace, False),
+            "register": (self._register, False),
+        }
+
+    def shutdown_options(self, request: dict[str, Any]) -> dict[str, Any]:
+        return {
+            "drain": bool(request.get("drain", True)),
+            "fleet": bool(request.get("fleet", False)),
+        }
 
     def _register(
-        self,
-        request: dict[str, Any],
-        ctx: AuthContext = OPEN_CONTEXT,
+        self, request: dict[str, Any], ctx: AuthContext
     ) -> dict[str, Any]:
         if not ctx.admin:
             # Fleet members register with the fleet token; a plain
@@ -1049,7 +831,7 @@ class Coordinator(AsyncServerCore):
             "daemons": known,
         }
 
-    def _metrics(self) -> dict[str, Any]:
+    def _metrics(self, *_: Any) -> dict[str, Any]:
         """The fleet-wide metrics document.
 
         The coordinator's own placement counters merged with every
@@ -1074,7 +856,7 @@ class Coordinator(AsyncServerCore):
         return {
             "ok": True,
             "op": "metrics",
-            "role": "coordinator",
+            "role": self.role,
             "address": self.address,
             "daemons": polled,
             "metrics": merged,
@@ -1082,9 +864,7 @@ class Coordinator(AsyncServerCore):
         }
 
     def _trace(
-        self,
-        request: dict[str, Any],
-        ctx: AuthContext = OPEN_CONTEXT,
+        self, request: dict[str, Any], ctx: AuthContext
     ) -> dict[str, Any]:
         """Look one job's trace up by its coordinator job id.
 
@@ -1093,7 +873,7 @@ class Coordinator(AsyncServerCore):
         with the job's record from whichever daemon compiled it.
         """
         job_id = request.get("job")
-        if not isinstance(job_id, str) or "-" not in job_id:
+        if not job_id or "-" not in job_id:
             return error_reply(
                 "bad_request",
                 "trace needs a 'job' id (SUBMISSION-INDEX)",
@@ -1169,7 +949,7 @@ class Coordinator(AsyncServerCore):
             "error": error,
         }
 
-    def _ping(self) -> dict[str, Any]:
+    def _ping(self, *_: Any) -> dict[str, Any]:
         with self._lock:
             daemons = [
                 {
@@ -1187,7 +967,7 @@ class Coordinator(AsyncServerCore):
             "ok": True,
             "op": "ping",
             "protocol": PROTOCOL_VERSION,
-            "role": "coordinator",
+            "role": self.role,
             "address": self.address,
             "auth_required": self.tenants is not None,
             "draining": self.draining,
@@ -1201,9 +981,7 @@ class Coordinator(AsyncServerCore):
         }
 
     def _status(
-        self,
-        request: dict[str, Any],
-        ctx: AuthContext = OPEN_CONTEXT,
+        self, request: dict[str, Any], ctx: AuthContext
     ) -> dict[str, Any]:
         sub_id = request.get("submission")
         if sub_id is None:
@@ -1261,108 +1039,28 @@ class Coordinator(AsyncServerCore):
             "jobs": jobs,
         }
 
-    async def _results(
-        self,
-        request: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        ctx: AuthContext = OPEN_CONTEXT,
-    ) -> None:
-        """Stream a fleet submission's records in completion order.
-
-        Event-for-event identical to the daemon's results stream, so
-        :class:`ServiceClient` consumes a fleet unchanged.
-        """
-        sub_id = request.get("submission")
+    def results_view(
+        self, sub_id: str, ctx: AuthContext
+    ) -> ResultsView | None:
         with self._lock:
-            submission = (
-                None
-                if sub_id is None
-                else self._submissions.get(sub_id)
-            )
+            submission = self._submissions.get(sub_id)
         if submission is None or not ctx.can_see(submission.tenant):
-            await write_message_async(
-                writer,
-                error_reply(
-                    "not_found", f"unknown submission {sub_id!r}"
-                ),
-            )
-            return
-        follow = bool(request.get("follow", False))
-        total = submission.total_jobs
-        await write_message_async(
-            writer,
-            {
-                "ok": True,
-                "event": "start",
-                "submission": sub_id,
-                "manifest_digest": submission.manifest_digest,
-                "total_jobs": total,
-            },
-        )
-        sent = 0
-        failed = 0
-        idle_timeout = RESULTS_POLL_MIN_S
-        loop = asyncio.get_running_loop()
-        changed = asyncio.Event()
+            return None
 
-        def wake() -> None:
-            loop.call_soon_threadsafe(changed.set)
+        def finished(offset: int) -> list[tuple[str, dict[str, Any]]]:
+            with self._lock:
+                return [
+                    (f"{sub_id}-{index:05d}", submission.records[index])
+                    for index in submission.completion[offset:]
+                ]
 
-        self.add_listener(wake)
-        try:
-            while True:
-                with self._lock:
-                    order = list(submission.completion)
-                    batch = [
-                        submission.records[index]
-                        for index in order[sent:]
-                    ]
-                if batch:
-                    idle_timeout = RESULTS_POLL_MIN_S  # progress
-                for record in batch:
-                    if record.get("status") == "error":
-                        failed += 1
-                    await write_message_async(
-                        writer,
-                        {
-                            "ok": True,
-                            "event": "record",
-                            "job_id": (
-                                f"{submission.id}-"
-                                f"{record['index']:05d}"
-                            ),
-                            "record": record,
-                        },
-                    )
-                sent = len(order)
-                if sent >= total or not follow:
-                    break
-                if self._stopping.is_set():
-                    break  # going down with work left: end honestly
-                changed.clear()
-                with self._lock:
-                    progressed = len(submission.completion) > sent
-                if progressed or self._stopping.is_set():
-                    continue
-                try:
-                    await asyncio.wait_for(
-                        changed.wait(), timeout=idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    idle_timeout = _next_idle_timeout(idle_timeout)
-        finally:
-            self.remove_listener(wake)
-        await write_message_async(
-            writer,
-            {
-                "ok": True,
-                "event": "end",
-                "submission": sub_id,
-                "num_done": sent,
-                "num_failed": failed,
-                "remaining": total - sent,
-                "wall_time_s": time.time() - submission.submitted_at,
-            },
+        return ResultsView(
+            manifest_digest=submission.manifest_digest,
+            total_jobs=submission.total_jobs,
+            submitted_at=submission.submitted_at,
+            feed=self,
+            finished=finished,
+            finished_count=lambda: len(submission.completion),
         )
 
 

@@ -69,9 +69,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
 from ..engine.cache import job_cache_key
 from ..engine.jobs import CompileJob, job_from_doc, job_to_doc
@@ -80,6 +79,7 @@ from ..engine.manifest import (
     manifest_digest,
     parse_manifest,
 )
+from .aio import ChangeFeed
 
 #: Schema identity of queue documents.
 JOB_RECORD_FORMAT = "repro-service-job"
@@ -129,12 +129,13 @@ def queue_wait_s(record: dict[str, Any]) -> float | None:
     return max(0.0, leased - enqueued)
 
 
-class JobQueue:
+class JobQueue(ChangeFeed):
     """Crash-safe priority queue of compilation jobs (see module doc).
 
-    Thread-safe: every method may be called from any thread; state
-    changes broadcast on :attr:`changed`, so streamers can wait for
-    completions without polling the disk.
+    Thread-safe: every method may be called from any thread; every job
+    state change (lease, completion, requeue, submission) is broadcast
+    through the :class:`~repro.service.aio.ChangeFeed`, so streamers
+    can wait for completions without polling the disk.
 
     Args:
         directory: Queue root (created on first use).
@@ -152,15 +153,7 @@ class JobQueue:
         self._subs_dir = os.path.join(directory, "submissions")
         os.makedirs(self._jobs_dir, exist_ok=True)
         os.makedirs(self._subs_dir, exist_ok=True)
-        self._lock = threading.RLock()
-        #: Notified on every job state change (lease, completion,
-        #: requeue, submission).
-        self.changed = threading.Condition(self._lock)
-        # Callbacks invoked (with the lock held) on every change
-        # broadcast -- the bridge that lets the asyncio front end wake
-        # a followed result stream from a worker thread via
-        # ``loop.call_soon_threadsafe`` without polling.
-        self._listeners: list[Callable[[], None]] = []
+        super().__init__()
         self._records: dict[str, dict[str, Any]] = {}
         self._submissions: dict[str, dict[str, Any]] = {}
         # Leases granted per tenant since startup -- the fair-share
@@ -172,46 +165,6 @@ class JobQueue:
         # submit() while this process lives.
         self._seq_floor = 0
         self._load()
-
-    # -- change notification -------------------------------------------
-
-    def add_listener(self, callback: Callable[[], None]) -> None:
-        """Invoke ``callback`` on every queue change (any thread).
-
-        Callbacks run under the queue lock and must be cheap and
-        non-blocking (e.g. ``loop.call_soon_threadsafe(event.set)``);
-        exceptions are swallowed so one broken listener cannot wedge
-        the queue.
-        """
-        with self._lock:
-            self._listeners.append(callback)
-
-    def remove_listener(self, callback: Callable[[], None]) -> None:
-        """Detach a listener registered with :meth:`add_listener`."""
-        with self._lock:
-            try:
-                self._listeners.remove(callback)
-            except ValueError:
-                pass
-
-    def _notify_all(self) -> None:
-        # Caller holds the lock.
-        self.changed.notify_all()
-        for callback in list(self._listeners):
-            try:
-                callback()
-            except Exception:
-                pass
-
-    def poke(self) -> None:
-        """Wake every waiter and listener without a state change.
-
-        Used by daemon shutdown: idle workers and followed result
-        streams block on :attr:`changed` / their listeners and must
-        re-check the stop flag even though no job changed.
-        """
-        with self.changed:
-            self._notify_all()
 
     # -- persistence ---------------------------------------------------
 
@@ -706,27 +659,6 @@ class JobQueue:
             os.unlink(path)
         except FileNotFoundError:
             pass
-
-    def wait(
-        self,
-        predicate: Callable[[], bool],
-        timeout: float | None = None,
-    ) -> bool:
-        """Block until ``predicate()`` holds or ``timeout`` elapses."""
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        with self.changed:
-            while not predicate():
-                remaining = (
-                    None
-                    if deadline is None
-                    else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                self.changed.wait(remaining)
-            return True
 
 
 __all__ = [

@@ -2,13 +2,17 @@
 
 A :class:`ServiceServer` ties together the three service halves:
 
-* an **asyncio listener** (:class:`~repro.service.aio.AsyncServerCore`)
-  -- TCP or Unix domain (:func:`repro.service.protocol.parse_address`)
-  speaking the NDJSON protocol.  Every client connection is a
-  coroutine on one event-loop thread, so a single daemon holds
-  thousands of idle connections without a thread each; followed
-  result streams are woken through a queue-listener bridge instead of
-  polling;
+* an **asyncio listener** -- TCP or Unix domain
+  (:func:`repro.service.protocol.parse_address`) speaking the NDJSON
+  protocol through the shared front door of
+  :class:`~repro.service.aio.AsyncServerCore`, which owns auth, the
+  admin-gated ``shutdown``, the ``submit`` preamble and the
+  ``results`` stream.  This module supplies the daemon's op table
+  (``ping``/``metrics``/``submit`` off the loop, ``status``/``trace``
+  inline), its tenancy admission call site and the queue-backed
+  results view.  Every reply frame goes through this module's
+  ``write_message_async``, looked up at call time, so patching that
+  one name times every daemon frame (``perfbench/tracer.py`` does);
 * a persistent :class:`~repro.service.queue.JobQueue` -- submissions
   survive restarts, crash recovery runs on startup, and (with
   ``completed_ttl``) finished submissions are garbage-collected by
@@ -51,28 +55,16 @@ from ..obs.metrics import (
     render_prometheus_doc,
 )
 from ..obs.trace import Trace, rebase_spans
-from ..engine.manifest import parse_manifest
-from .aio import AsyncServerCore
+from ..engine.jobs import CompileJob
+from .aio import AsyncServerCore, ResultsView
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     error_reply,
     write_message_async,
 )
-from .queue import JobQueue, ManifestError, queue_wait_s
-from .tenancy import (
-    AuthContext,
-    OPEN_CONTEXT,
-    TenantRegistry,
-    authorize_request,
-    resolve_registry,
-)
-
-#: Idle-poll bounds for a followed result stream: the fallback timeout
-#: starts snappy, doubles while nothing completes, and is capped so a
-#: missed notification never stalls the stream for long.
-RESULTS_POLL_MIN_S = 0.05
-RESULTS_POLL_MAX_S = 2.0
+from .queue import JobQueue, queue_wait_s
+from .tenancy import AuthContext, TenantRegistry, admit_submit
 
 #: Re-announce period of ``--announce`` self-registration; frequent
 #: enough that a restarted coordinator re-learns its fleet quickly.
@@ -92,17 +84,6 @@ def _parse_metrics_listen(spec: str) -> tuple[str, int]:
         raise ValueError(
             f"bad metrics listen spec {spec!r}: expected HOST:PORT or PORT"
         ) from None
-
-
-def _next_idle_timeout(current: float) -> float:
-    """The idle-poll back-off ladder of a followed result stream.
-
-    Queue changes wake the stream immediately through a listener; this
-    timeout only bounds *missed* notifications, so it doubles from
-    :data:`RESULTS_POLL_MIN_S` up to :data:`RESULTS_POLL_MAX_S` while
-    the stream sits idle (progress resets it to the minimum).
-    """
-    return min(current * 2.0, RESULTS_POLL_MAX_S)
 
 
 class ServiceServer(AsyncServerCore):
@@ -153,6 +134,8 @@ class ServiceServer(AsyncServerCore):
             today's open v1-compatible behaviour.
     """
 
+    role = "daemon"
+
     def __init__(
         self,
         queue_dir: str,
@@ -174,6 +157,7 @@ class ServiceServer(AsyncServerCore):
             address,
             max_line_bytes=max_line_bytes,
             name="repro-service",
+            tenants=tenants,
         )
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -193,7 +177,6 @@ class ServiceServer(AsyncServerCore):
         self.lease_seconds = lease_seconds
         self.completed_ttl = completed_ttl
         self.announce = announce
-        self.tenants = resolve_registry(tenants)
         self.metrics_address = metrics_address
         if metrics_address is not None:
             _parse_metrics_listen(metrics_address)  # validate eagerly
@@ -202,7 +185,6 @@ class ServiceServer(AsyncServerCore):
         # instrument points (workers, submit); snapshot-style series
         # (queue depth, connections, cache counters) are synced in at
         # collection time, so a scrape always reads current state.
-        self.metrics = MetricsRegistry()
         self._m_submissions = self.metrics.counter(
             "repro_submissions_total",
             "Manifest submissions accepted by this daemon.",
@@ -245,23 +227,10 @@ class ServiceServer(AsyncServerCore):
             "Per-pass compile seconds (fresh compilations only).",
             ("pass",),
         )
-        # Per-tenant families (only ever labelled when a tenants file
-        # is in force; fleet-summed like every other family).
-        self._m_tenant_submissions = self.metrics.counter(
-            "repro_tenant_submissions_total",
-            "Manifest submissions accepted, by tenant.",
-            ("tenant",),
-        )
         self._m_tenant_jobs_completed = self.metrics.counter(
             "repro_tenant_jobs_completed_total",
             "Job outcome records written, by tenant and status.",
             ("tenant", "status"),
-        )
-        self._m_tenant_throttles = self.metrics.counter(
-            "repro_tenant_throttles_total",
-            "Submissions rejected by tenancy enforcement, by tenant "
-            "and reason (rate_limit/queued_quota/submission_quota).",
-            ("tenant", "reason"),
         )
         self._m_tenant_quota_util = self.metrics.gauge(
             "repro_tenant_quota_utilization",
@@ -269,17 +238,11 @@ class ServiceServer(AsyncServerCore):
             "synced at scrape time.",
             ("tenant", "quota"),
         )
-        self._threads: list[threading.Thread] = []
         # Jobs currently executing on this daemon's worker threads
         # (worker id -> job id); the maintenance thread heartbeats
         # their leases so healthy long compiles never expire.
         self._active_lock = threading.Lock()
         self._active_jobs: dict[str, str] = {}
-        self._started = threading.Event()
-        self._stopping = threading.Event()
-        self._draining = threading.Event()
-        self._stopped = threading.Event()
-        self.started_at = time.time()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -291,39 +254,23 @@ class ServiceServer(AsyncServerCore):
                 f"recovered {len(recovered)} job(s) from a previous run"
             )
         self.start_listener()
-        self._threads = [
-            threading.Thread(
-                target=self._maintenance_loop,
-                name="repro-service-maintenance",
-                daemon=True,
-            ),
-        ]
+        self._threads = [self._spawn("maintenance", self._maintenance_loop)]
         self._threads += [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(f"worker-{number}",),
-                name=f"repro-service-worker-{number}",
-                daemon=True,
+            self._spawn(worker_id, self._worker_loop, worker_id)
+            for worker_id in (
+                f"worker-{number}" for number in range(1, self.workers + 1)
             )
-            for number in range(1, self.workers + 1)
         ]
         if self.announce is not None:
             self._threads.append(
-                threading.Thread(
-                    target=self._announce_loop,
-                    name="repro-service-announce",
-                    daemon=True,
-                )
+                self._spawn("announce", self._announce_loop)
             )
-        for thread in self._threads:
-            thread.start()
         if self.metrics_address is not None:
             host, port = _parse_metrics_listen(self.metrics_address)
             self._metrics_http = MetricsServer(
                 self._render_metrics, host=host, port=port
             ).start()
             self._log(f"metrics at {self._metrics_http.url}")
-        self._started.set()
         return self
 
     def stop(self, drain: bool = True, timeout: float | None = None) -> None:
@@ -349,9 +296,7 @@ class ServiceServer(AsyncServerCore):
         if self._metrics_http is not None:
             self._metrics_http.stop()
             self._metrics_http = None
-        for thread in self._threads:
-            if thread is not threading.current_thread():
-                thread.join(timeout=10.0)
+        self._join_threads()
         try:
             # Deferred write-back cache entries must survive the
             # daemon.  Workers flush on their own way out too (a slow
@@ -361,24 +306,11 @@ class ServiceServer(AsyncServerCore):
         finally:
             self._stopped.set()
 
-    def wait_stopped(self, timeout: float | None = None) -> bool:
-        """Block until the daemon has fully stopped."""
-        return self._stopped.wait(timeout)
-
-    @property
-    def draining(self) -> bool:
-        """Whether the daemon has stopped accepting submissions."""
-        return self._draining.is_set()
-
     @property
     def metrics_url(self) -> str | None:
         """The ``GET /metrics`` URL, when the listener is running."""
         http = self._metrics_http
         return None if http is None else http.url
-
-    def _log(self, message: str) -> None:
-        # Single seam for daemon logging; the CLI wires it to stderr.
-        print(f"repro-service: {message}", flush=True)
 
     # -- workers -------------------------------------------------------
 
@@ -551,13 +483,7 @@ class ServiceServer(AsyncServerCore):
             # Push write-back-deferred cache entries downstream (no-op
             # for every non-write-back cache).
             self.cache.flush()
-            # Hot reload: a touched tenants file takes effect within
-            # one sweep (SIGHUP, handled in the CLI, is immediate).
-            if self.tenants is not None and self.tenants.maybe_reload():
-                self._log(
-                    f"tenants file {self.tenants.path} reloaded "
-                    f"({len(self.tenants.tenants())} tenant(s))"
-                )
+            self._reload_tenants()
 
     def _announce_loop(self) -> None:
         # Imported here: client.py has no dependency on the server
@@ -571,11 +497,7 @@ class ServiceServer(AsyncServerCore):
             connect_retry_s=1.0,
             # A tenanted coordinator only accepts registrations from
             # fleet members; present the shared fleet token.
-            token=(
-                self.tenants.fleet_token
-                if self.tenants is not None
-                else None
-            ),
+            token=self._fleet_token,
         )
         registered = False
         while not self._stopping.is_set():
@@ -598,78 +520,35 @@ class ServiceServer(AsyncServerCore):
     async def dispatch_async(
         self, request: dict[str, Any], writer: asyncio.StreamWriter
     ) -> bool:
-        """Answer one request; ``False`` ends the connection.
+        """Answer one request through the shared front door.
 
-        ``ping`` is always answered (liveness must precede auth);
-        every other op first passes the tenancy front door
-        (:func:`~repro.service.tenancy.authorize_request`), which is a
-        no-op yielding an all-seeing context on an open daemon.
+        Every frame is written through this module's
+        ``write_message_async``, looked up at call time.
         """
-        op = request.get("op")
-        if op == "ping":
-            # Off the loop thread: the cache stats snapshot can briefly
-            # block behind a write-back flush holding the stats lock.
-            reply = await asyncio.to_thread(self._ping)
-            await write_message_async(writer, reply)
-            return True
-        ctx, err = authorize_request(self.tenants, request)
-        if err is not None:
-            await write_message_async(writer, err)
-            return True
-        if op == "metrics":
-            reply = await asyncio.to_thread(self._metrics)
-            await write_message_async(writer, reply)
-            return True
-        if op == "trace":
-            await write_message_async(writer, self._trace(request, ctx))
-            return True
-        if op == "submit":
-            # Manifest expansion + cache-key hashing can be slow for
-            # big manifests: keep it off the event loop.
-            reply = await asyncio.to_thread(self._submit, request, ctx)
-            await write_message_async(writer, reply)
-            return True
-        if op == "status":
-            await write_message_async(writer, self._status(request, ctx))
-            return True
-        if op == "results":
-            await self._results(request, writer, ctx)
-            return True
-        if op == "shutdown":
-            if not ctx.admin:
-                await write_message_async(
-                    writer,
-                    error_reply(
-                        "forbidden",
-                        "shutdown requires the admin capability",
-                    ),
-                )
-                return True
-            drain = bool(request.get("drain", True))
-            await write_message_async(
-                writer, {"ok": True, "op": "shutdown", "drain": drain}
-            )
-            # Stop from a fresh thread: stop() joins the listener loop
-            # this very coroutine runs on.
-            threading.Thread(
-                target=self.stop,
-                kwargs={"drain": drain},
-                name="repro-service-shutdown",
-                daemon=True,
-            ).start()
-            return False
-        await write_message_async(
-            writer,
-            error_reply("unknown_op", f"unknown op {op!r}"),
-        )
-        return True
+        async def send(message: dict[str, Any]) -> None:
+            await write_message_async(writer, message)
 
-    def _ping(self) -> dict[str, Any]:
+        return await self.front_door(request, send)
+
+    def op_table(self):
+        return {
+            # Off the loop: the cache stats snapshot can briefly block
+            # behind a write-back flush holding the stats lock.
+            "ping": (self._ping, True),
+            "metrics": (self._metrics, True),
+            # Manifest expansion + cache-key hashing can be slow for
+            # big manifests.
+            "submit": (self._submit, True),
+            "status": (self._status, False),
+            "trace": (self._trace, False),
+        }
+
+    def _ping(self, *_: Any) -> dict[str, Any]:
         return {
             "ok": True,
             "op": "ping",
             "protocol": PROTOCOL_VERSION,
-            "role": "daemon",
+            "role": self.role,
             "address": self.address,
             "workers": self.workers,
             "draining": self.draining,
@@ -720,19 +599,19 @@ class ServiceServer(AsyncServerCore):
     def _render_metrics(self) -> str:
         return render_prometheus_doc(self._metrics_doc())
 
-    def _metrics(self) -> dict[str, Any]:
+    def _metrics(self, *_: Any) -> dict[str, Any]:
         doc = self._metrics_doc()
         return {
             "ok": True,
             "op": "metrics",
-            "role": "daemon",
+            "role": self.role,
             "address": self.address,
             "metrics": doc,
             "text": render_prometheus_doc(doc),
         }
 
     def _trace(
-        self, request: dict[str, Any], ctx: AuthContext = OPEN_CONTEXT
+        self, request: dict[str, Any], ctx: AuthContext
     ) -> dict[str, Any]:
         job_id = request.get("job")
         if not job_id:
@@ -755,88 +634,39 @@ class ServiceServer(AsyncServerCore):
             "trace": trace_doc,
         }
 
-    def _check_tenant_submit(
+    def _admit(
         self, ctx: AuthContext, num_jobs: int
     ) -> dict[str, Any] | None:
-        """Tenancy admission control for one submit: rate limit, then
-        per-submission size quota, then outstanding-jobs quota.
-        Returns an error reply, or ``None`` to admit.
-
-        Fleet contexts bypass admission: a coordinator leg arriving
-        with the fleet token was already admitted at the fleet front
-        door, and re-charging the tenant's rate bucket (or re-checking
-        a per-daemon slice of its global quota) for internal dispatch,
-        stealing or loss re-dispatch would throttle work the client
-        was told was accepted."""
-        tenant = ctx.tenant
-        if tenant is None or ctx.fleet or self.tenants is None:
+        if ctx.fleet:
+            # A coordinator leg was already admitted at the fleet front
+            # door; re-charging the tenant's rate bucket (or checking
+            # one daemon's slice of its global quota) for dispatch,
+            # stealing or loss re-dispatch would throttle work the
+            # client was told was accepted.
             return None
-        retry_after = self.tenants.acquire_submit(tenant)
-        if retry_after > 0.0:
-            self._m_tenant_throttles.inc(
-                tenant=tenant.name, reason="rate_limit"
-            )
-            return error_reply(
-                "rate_limited",
-                f"tenant {tenant.name!r} exceeded its submit rate; "
-                f"retry in {retry_after:.3f}s",
-                retry_after_s=round(retry_after, 3),
-            )
-        cap = tenant.max_jobs_per_submission
-        if cap is not None and num_jobs > cap:
-            self._m_tenant_throttles.inc(
-                tenant=tenant.name, reason="submission_quota"
-            )
-            return error_reply(
-                "quota_exceeded",
-                f"submission has {num_jobs} jobs; tenant "
-                f"{tenant.name!r} is limited to {cap} per submission",
-            )
-        cap = tenant.max_queued_jobs
-        if cap is not None:
-            counts = self.queue.counts(tenant=tenant.name)
-            outstanding = counts["queued"] + counts["running"]
-            if outstanding + num_jobs > cap:
-                self._m_tenant_throttles.inc(
-                    tenant=tenant.name, reason="queued_quota"
-                )
-                return error_reply(
-                    "quota_exceeded",
-                    f"tenant {tenant.name!r} has {outstanding} "
-                    f"outstanding job(s); {num_jobs} more would exceed "
-                    f"its quota of {cap}",
-                )
-        return None
 
-    def _submit(
-        self, request: dict[str, Any], ctx: AuthContext = OPEN_CONTEXT
+        def outstanding() -> int:
+            counts = self.queue.counts(tenant=ctx.name)
+            return counts["queued"] + counts["running"]
+
+        return admit_submit(
+            self.tenants,
+            ctx,
+            num_jobs,
+            outstanding,
+            self._m_tenant_throttles,
+        )
+
+    def _enqueue(
+        self,
+        manifest_doc: Any,
+        jobs: list[CompileJob],
+        priority: int,
+        ctx: AuthContext,
     ) -> dict[str, Any]:
-        if self.draining:
-            return error_reply(
-                "draining",
-                "service is draining; not accepting submissions",
-            )
-        manifest_doc = request.get("manifest")
-        if manifest_doc is None:
-            return error_reply("bad_request", "submit needs a 'manifest'")
-        priority = request.get("priority", 0)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            return error_reply(
-                "bad_request", "'priority' must be an integer"
-            )
-        try:
-            num_jobs = len(parse_manifest(manifest_doc))
-        except ManifestError as exc:
-            return error_reply("bad_request", f"bad manifest: {exc}")
-        rejection = self._check_tenant_submit(ctx, num_jobs)
-        if rejection is not None:
-            return rejection
-        try:
-            submission = self.queue.submit(
-                manifest_doc, priority=priority, tenant=ctx.name
-            )
-        except ManifestError as exc:
-            return error_reply("bad_request", f"bad manifest: {exc}")
+        submission = self.queue.submit(
+            manifest_doc, priority=priority, tenant=ctx.name
+        )
         self._m_submissions.inc()
         self._m_jobs_submitted.inc(submission["total_jobs"])
         if ctx.name is not None and not ctx.fleet:
@@ -855,23 +685,24 @@ class ServiceServer(AsyncServerCore):
         }
 
     def _status(
-        self, request: dict[str, Any], ctx: AuthContext = OPEN_CONTEXT
+        self, request: dict[str, Any], ctx: AuthContext
     ) -> dict[str, Any]:
         sub_id = request.get("submission")
         if sub_id is None:
-            visible = [
-                sid
-                for sid in self.queue.submission_ids()
-                if ctx.can_see(self.queue.submission(sid).get("tenant"))
-            ]
-            submissions = [
-                {
-                    "id": sid,
-                    "total_jobs": self.queue.submission(sid)["total_jobs"],
-                    "counts": self.queue.counts(sid),
-                }
-                for sid in visible
-            ]
+            submissions = []
+            for sid in self.queue.submission_ids():
+                # Read once: gc_completed may collect a submission
+                # between the id scan and this read.
+                doc = self.queue.submission(sid)
+                if doc is None or not ctx.can_see(doc.get("tenant")):
+                    continue
+                submissions.append(
+                    {
+                        "id": sid,
+                        "total_jobs": doc["total_jobs"],
+                        "counts": self.queue.counts(sid),
+                    }
+                )
             return {
                 "ok": True,
                 "op": "status",
@@ -922,111 +753,23 @@ class ServiceServer(AsyncServerCore):
             "jobs": jobs,
         }
 
-    async def _results(
-        self,
-        request: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        ctx: AuthContext = OPEN_CONTEXT,
-    ) -> None:
-        """Stream a submission's records in completion order.
-
-        With ``follow`` the stream stays open until every job has
-        finished; without, it ends after the records finished so far.
-        While following, a queue listener wakes this coroutine through
-        ``call_soon_threadsafe`` on every completion, so records flow
-        the moment they exist; the idle timeout only bounds missed
-        notifications (:func:`_next_idle_timeout`).
-        """
-        sub_id = request.get("submission")
-        submission = (
-            None if sub_id is None else self.queue.submission(sub_id)
-        )
+    def results_view(
+        self, sub_id: str, ctx: AuthContext
+    ) -> ResultsView | None:
+        submission = self.queue.submission(sub_id)
         if submission is None or not ctx.can_see(submission.get("tenant")):
-            await write_message_async(
-                writer,
-                error_reply(
-                    "not_found", f"unknown submission {sub_id!r}"
-                ),
-            )
-            return
-        follow = bool(request.get("follow", False))
-        total = submission["total_jobs"]
-        await write_message_async(
-            writer,
-            {
-                "ok": True,
-                "event": "start",
-                "submission": sub_id,
-                "manifest_digest": submission["manifest_digest"],
-                "total_jobs": total,
-            },
-        )
-        sent = 0
-        failed = 0
-        idle_timeout = RESULTS_POLL_MIN_S
-        loop = asyncio.get_running_loop()
-        changed = asyncio.Event()
-
-        def wake() -> None:
-            loop.call_soon_threadsafe(changed.set)
-
-        self.queue.add_listener(wake)
-        try:
-            while True:
-                # Flush everything completed so far *before* any exit
-                # check, so records finishing during the wait below
-                # are never dropped by a shutdown.
-                completed = self.queue.completed_records(sub_id)
-                if len(completed) > sent:
-                    idle_timeout = RESULTS_POLL_MIN_S  # progress
-                for record in completed[sent:]:
-                    if record["record"].get("status") == "error":
-                        failed += 1
-                    await write_message_async(
-                        writer,
-                        {
-                            "ok": True,
-                            "event": "record",
-                            "job_id": record["id"],
-                            "record": record["record"],
-                        },
-                    )
-                sent = len(completed)
-                if sent >= total or not follow:
-                    break
-                if (
-                    self._stopping.is_set()
-                    and self.queue.unfinished(sub_id)
-                ):
-                    break  # going down with work left: end honestly
-                changed.clear()
-                # Re-check after clearing: a completion between the
-                # scan above and the clear would otherwise be missed
-                # until the idle timeout.
-                if (
-                    self.queue.completed_count(sub_id) > sent
-                    or self._stopping.is_set()
-                ):
-                    continue
-                try:
-                    await asyncio.wait_for(
-                        changed.wait(), timeout=idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    idle_timeout = _next_idle_timeout(idle_timeout)
-        finally:
-            self.queue.remove_listener(wake)
-        await write_message_async(
-            writer,
-            {
-                "ok": True,
-                "event": "end",
-                "submission": sub_id,
-                "num_done": sent,
-                "num_failed": failed,
-                "remaining": total - sent,
-                "wall_time_s": time.time() - submission["submitted_at"],
-            },
+            return None
+        queue = self.queue
+        return ResultsView(
+            manifest_digest=submission["manifest_digest"],
+            total_jobs=submission["total_jobs"],
+            submitted_at=submission["submitted_at"],
+            feed=queue,
+            finished=lambda offset: [
+                (record["id"], record["record"])
+                for record in queue.completed_records(sub_id)[offset:]
+            ],
+            finished_count=lambda: queue.completed_count(sub_id),
         )
 
 

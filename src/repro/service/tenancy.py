@@ -52,7 +52,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .protocol import PROTOCOL_VERSION, error_reply
 
@@ -61,8 +61,6 @@ TENANTS_VERSION = 1
 
 #: Tenant names become path components and submission-id prefixes.
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.]{0,63}$")
-
-_UNSET = object()
 
 
 class TenancyError(ValueError):
@@ -125,18 +123,6 @@ class Tenant:
     rate_burst: Optional[int] = None
     rate_per_second: Optional[float] = None
     admin: bool = False
-
-    def quota_doc(self) -> Dict[str, Any]:
-        """The quota table row shown by ``repro tenants --check``."""
-        return {
-            "tenant": self.name,
-            "max_queued_jobs": self.max_queued_jobs,
-            "max_running_jobs": self.max_running_jobs,
-            "max_jobs_per_submission": self.max_jobs_per_submission,
-            "rate_burst": self.rate_burst,
-            "rate_per_second": self.rate_per_second,
-            "admin": self.admin,
-        }
 
 
 @dataclass(frozen=True)
@@ -509,6 +495,59 @@ def authorize_request(
             )
         ctx = AuthContext(tenant=tenant, fleet=True)
     return ctx, None
+
+
+def admit_submit(
+    registry: Optional[TenantRegistry],
+    ctx: AuthContext,
+    num_jobs: int,
+    outstanding: Callable[[], int],
+    throttles: Any,
+    scope: str = "",
+) -> Optional[Dict[str, Any]]:
+    """Tenancy admission for one submit of ``num_jobs`` jobs: the rate
+    limit, then the per-submission cap, then the outstanding-jobs cap.
+    Returns an error reply, or ``None`` to admit.
+
+    ``outstanding()`` counts the tenant's queued and running jobs as
+    the caller sees them (a daemon's queue, or the whole fleet at the
+    coordinator, which names that ``scope`` in its message); it is
+    only called when the tenant has a ``max_queued_jobs`` cap.  Each
+    rejection counts once on ``throttles``
+    (``repro_tenant_throttles_total``) by tenant and reason.
+    """
+    tenant = ctx.tenant
+    if tenant is None or registry is None:
+        return None
+    retry_after = registry.acquire_submit(tenant)
+    if retry_after > 0.0:
+        throttles.inc(tenant=tenant.name, reason="rate_limit")
+        return error_reply(
+            "rate_limited",
+            f"tenant {tenant.name!r} exceeded its submit rate; "
+            f"retry in {retry_after:.3f}s",
+            retry_after_s=round(retry_after, 3),
+        )
+    cap = tenant.max_jobs_per_submission
+    if cap is not None and num_jobs > cap:
+        throttles.inc(tenant=tenant.name, reason="submission_quota")
+        return error_reply(
+            "quota_exceeded",
+            f"submission has {num_jobs} jobs; tenant "
+            f"{tenant.name!r} is limited to {cap} per submission",
+        )
+    cap = tenant.max_queued_jobs
+    if cap is not None:
+        queued = outstanding()
+        if queued + num_jobs > cap:
+            throttles.inc(tenant=tenant.name, reason="queued_quota")
+            return error_reply(
+                "quota_exceeded",
+                f"tenant {tenant.name!r} has {queued} outstanding "
+                f"job(s){scope}; {num_jobs} more would exceed its "
+                f"quota of {cap}",
+            )
+    return None
 
 
 def resolve_registry(tenants: Any) -> Optional[TenantRegistry]:

@@ -490,7 +490,7 @@ class TestIdlePolling:
         # listener wakes it on every state change); the poll timeout is
         # only the safety net.  Its ladder starts at the minimum,
         # doubles, and saturates at the cap.
-        from repro.service.server import (
+        from repro.service.aio import (
             RESULTS_POLL_MAX_S,
             RESULTS_POLL_MIN_S,
             _next_idle_timeout,
