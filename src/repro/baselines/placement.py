@@ -10,6 +10,10 @@ larger, Table 3's ``T_comp`` columns).
 The annealing objective is the summed Euclidean distance between the
 partners of every two-qubit gate (weighted by multiplicity), the standard
 interaction-proximity objective used by movement-based NAQC compilers.
+The annealing loop keeps each qubit's share of that sum cached until a
+move touches the qubit or a partner, so a proposal mostly pays only for
+its "after" sums; every cached value is the same ordered sum a fresh
+recomputation makes, so the layout is bit-identical to recomputing.
 """
 
 from __future__ import annotations
@@ -73,82 +77,6 @@ def spiral_layout(
     )
 
 
-class _AnnealingState:
-    """Assignment with incremental (per-qubit delta) cost evaluation."""
-
-    def __init__(
-        self,
-        positions: list[tuple[float, float]],
-        num_qubits: int,
-        num_slots: int,
-        weights: dict[tuple[int, int], int],
-    ) -> None:
-        self.positions = positions
-        self.assignment = list(range(num_qubits))
-        self.free_slots = list(range(num_qubits, num_slots))
-        self.adjacency: dict[int, list[tuple[int, int]]] = {
-            q: [] for q in range(num_qubits)
-        }
-        for (a, b), weight in weights.items():
-            self.adjacency[a].append((b, weight))
-            self.adjacency[b].append((a, weight))
-        self.cost = sum(
-            weight * self._distance(a, b) for (a, b), weight in weights.items()
-        )
-
-    def _distance(self, a: int, b: int) -> float:
-        xa, ya = self.positions[self.assignment[a]]
-        xb, yb = self.positions[self.assignment[b]]
-        return math.hypot(xa - xb, ya - yb)
-
-    def local_cost(self, qubit: int, skip: int | None = None) -> float:
-        """Cost of all interaction terms incident to ``qubit``."""
-        total = 0.0
-        for other, weight in self.adjacency[qubit]:
-            if other == skip:
-                continue
-            total += weight * self._distance(qubit, other)
-        return total
-
-    def swap_delta(self, a: int, b: int) -> float:
-        """Cost change if qubits ``a`` and ``b`` traded slots."""
-        before = self.local_cost(a) + self.local_cost(b, skip=a)
-        self.assignment[a], self.assignment[b] = (
-            self.assignment[b],
-            self.assignment[a],
-        )
-        after = self.local_cost(a) + self.local_cost(b, skip=a)
-        self.assignment[a], self.assignment[b] = (
-            self.assignment[b],
-            self.assignment[a],
-        )
-        return after - before
-
-    def swap(self, a: int, b: int, delta: float) -> None:
-        """Commit a previously evaluated swap."""
-        self.assignment[a], self.assignment[b] = (
-            self.assignment[b],
-            self.assignment[a],
-        )
-        self.cost += delta
-
-    def relocate_delta(self, qubit: int, slot_index: int) -> float:
-        """Cost change if ``qubit`` moved to ``free_slots[slot_index]``."""
-        before = self.local_cost(qubit)
-        old_slot = self.assignment[qubit]
-        self.assignment[qubit] = self.free_slots[slot_index]
-        after = self.local_cost(qubit)
-        self.assignment[qubit] = old_slot
-        return after - before
-
-    def relocate(self, qubit: int, slot_index: int, delta: float) -> None:
-        """Commit a previously evaluated relocation."""
-        old_slot = self.assignment[qubit]
-        self.assignment[qubit] = self.free_slots[slot_index]
-        self.free_slots[slot_index] = old_slot
-        self.cost += delta
-
-
 def annealed_layout(
     architecture: ZonedArchitecture,
     circuit: Circuit,
@@ -169,8 +97,8 @@ def annealed_layout(
             ``iterations_per_qubit * num_qubits`` -- deliberately
             super-linear in circuit size, mirroring Enola's heavier
             compile-time profile.
-        initial_temperature: Starting temperature; defaults to two site
-            pitches of cost.
+        initial_temperature: Starting temperature; ``None`` means two
+            site pitches of cost, and ``0.0`` anneals greedily.
         cooling: Geometric cooling factor per step.
 
     Returns:
@@ -186,34 +114,124 @@ def annealed_layout(
     if not weights:
         return row_major_layout(architecture, n, zone)
 
-    positions = [site.position for site in sites]
-    state = _AnnealingState(positions, n, len(sites), weights)
-    temperature = initial_temperature or 2.0 * architecture.params.site_pitch
-    steps = iterations_per_qubit * n
+    slot_xs = [site.x for site in sites]
+    slot_ys = [site.y for site in sites]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (a, b), weight in weights.items():
+        adjacency[a].append((b, weight))
+        adjacency[b].append((a, weight))
+    neighbours = [{other for other, _ in terms} for terms in adjacency]
+    assignment = list(range(n))
+    free_slots = list(range(n, len(sites)))
+    num_free = len(free_slots)
+    xs = slot_xs[:n]
+    ys = slot_ys[:n]
+    # local[q] is None or the cost of q's interaction terms summed over
+    # adjacency[q] in order -- the very additions a fresh recomputation
+    # makes, so a cached value is bit-equal to one.  An accepted move
+    # stores the moved qubits' fresh "after" sums and clears their
+    # neighbours, the only other sums that read a moved coordinate.
+    local: list[float | None] = [None] * n
+    if initial_temperature is None:
+        temperature = 2.0 * architecture.params.site_pitch
+    else:
+        temperature = initial_temperature
+    random_ = rng.random
+    randrange = rng.randrange
+    hypot = math.hypot
+    exp = math.exp
 
-    def accept(delta: float) -> bool:
-        if delta <= 0:
-            return True
-        return rng.random() < math.exp(-delta / max(temperature, 1e-15))
+    def local_cost(q: int) -> float:
+        x = xs[q]
+        y = ys[q]
+        total = 0.0
+        for other, weight in adjacency[q]:
+            total += weight * hypot(x - xs[other], y - ys[other])
+        return total
 
-    for _ in range(steps):
-        qubit = rng.randrange(n)
-        if state.free_slots and rng.random() < 0.3:
-            slot_index = rng.randrange(len(state.free_slots))
-            delta = state.relocate_delta(qubit, slot_index)
-            if accept(delta):
-                state.relocate(qubit, slot_index, delta)
-        else:
-            other = rng.randrange(n)
-            if other != qubit:
-                delta = state.swap_delta(qubit, other)
-                if accept(delta):
-                    state.swap(qubit, other, delta)
+    for _ in range(iterations_per_qubit * n):
+        a = randrange(n)
+        if num_free and random_() < 0.3:
+            # Relocate a to a free slot: only a's own terms change.
+            slot_index = randrange(num_free)
+            slot = free_slots[slot_index]
+            before = local[a]
+            if before is None:
+                before = local[a] = local_cost(a)
+            x = slot_xs[slot]
+            y = slot_ys[slot]
+            after = 0.0
+            for other, weight in adjacency[a]:
+                after += weight * hypot(x - xs[other], y - ys[other])
+            delta = after - before
+            if delta <= 0 or random_() < exp(
+                -delta / max(temperature, 1e-15)
+            ):
+                free_slots[slot_index] = assignment[a]
+                assignment[a] = slot
+                xs[a] = x
+                ys[a] = y
+                for other, _ in adjacency[a]:
+                    local[other] = None
+                local[a] = after
+        elif (b := randrange(n)) != a:
+            # Swap a and b.  The cost change is a's terms plus b's terms
+            # other than the a-b term, which a's terms already hold and
+            # whose length the swap keeps.
+            xa = xs[a]
+            ya = ys[a]
+            xb = xs[b]
+            yb = ys[b]
+            before_a = local[a]
+            if before_a is None:
+                before_a = local[a] = local_cost(a)
+            after_a = 0.0
+            after_b = 0.0
+            linked = b in neighbours[a]
+            if linked:
+                before_b = 0.0
+                for other, weight in adjacency[b]:
+                    if other != a:
+                        before_b += weight * hypot(
+                            xb - xs[other], yb - ys[other]
+                        )
+                        after_b += weight * hypot(
+                            xa - xs[other], ya - ys[other]
+                        )
+                for other, weight in adjacency[a]:
+                    if other == b:
+                        after_a += weight * hypot(xb - xa, yb - ya)
+                    else:
+                        after_a += weight * hypot(
+                            xb - xs[other], yb - ys[other]
+                        )
+            else:
+                before_b = local[b]
+                if before_b is None:
+                    before_b = local[b] = local_cost(b)
+                for other, weight in adjacency[b]:
+                    after_b += weight * hypot(xa - xs[other], ya - ys[other])
+                for other, weight in adjacency[a]:
+                    after_a += weight * hypot(xb - xs[other], yb - ys[other])
+            delta = (after_a + after_b) - (before_a + before_b)
+            if delta <= 0 or random_() < exp(
+                -delta / max(temperature, 1e-15)
+            ):
+                assignment[a], assignment[b] = assignment[b], assignment[a]
+                xs[a] = xb
+                ys[a] = yb
+                xs[b] = xa
+                ys[b] = ya
+                for other, _ in adjacency[a]:
+                    local[other] = None
+                for other, _ in adjacency[b]:
+                    local[other] = None
+                local[a] = after_a
+                # Linked, after_b lacks the a-b term: not b's full sum.
+                local[b] = None if linked else after_b
         temperature *= cooling
 
-    return Layout(
-        architecture, {q: sites[state.assignment[q]] for q in range(n)}
-    )
+    return Layout(architecture, {q: sites[assignment[q]] for q in range(n)})
 
 
 __all__ = [

@@ -8,7 +8,8 @@ compile time plus the per-pass breakdown the pipeline already measures.
 
 The ladder doubles as a regression gate: :func:`scaling_doc` renders the
 timings in the slim ``benchmarks/compare_bench.py`` format
-(``{"benchmarks": {name: seconds}}``), and a committed baseline in
+(``{"benchmarks": {name: seconds}}``, plus an ungated ``"passes"``
+breakdown), and a committed baseline in
 ``benchmarks/scaling_baseline.json`` lets CI fail on >2x compile-time
 regressions of the small rungs the same way the smoke bench is gated.
 """
@@ -98,11 +99,19 @@ def run_scaling(
 
 
 def scaling_doc(points: Sequence[ScalingPoint]) -> dict[str, Any]:
-    """Render rungs as a slim compare_bench document."""
+    """Render rungs as a slim compare_bench document.
+
+    ``"benchmarks"`` holds each rung's compile seconds, the only key
+    compare_bench gates on; ``"passes"`` keeps each rung's per-pass
+    seconds beside it, for reading where a slow rung spent its time.
+    """
     return {
         "benchmarks": {
             point.name: point.compile_s for point in points
-        }
+        },
+        "passes": {
+            point.name: dict(point.pass_timings) for point in points
+        },
     }
 
 

@@ -402,6 +402,29 @@ class _DirectoryLock:
         self._mutex.release()
 
 
+def write_json_atomic(path: str, doc: Any) -> None:
+    """Write ``doc`` as JSON to ``path`` via a temporary file + rename.
+
+    A reader sees the old file or the whole new one, never a torn
+    write.  The text is encoded in one ``json.dumps`` call -- the C
+    encoder; ``json.dump`` to a file runs the pure-Python one, chunk by
+    chunk -- and the output bytes are the same.  An unencodable doc
+    raises before any file is created.
+    """
+    text = json.dumps(doc)
+    fd, tmp_path = tempfile.mkstemp(
+        dir=os.path.dirname(path), suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
+
+
 @dataclass(frozen=True)
 class PruneReport:
     """Outcome of one :meth:`DiskCache.prune` call."""
@@ -470,17 +493,7 @@ class DiskCache(ProgramCache):
     def _write_entry(self, key: str, doc: dict[str, Any]) -> None:
         """Atomically (tmp file + rename) write one entry payload."""
         os.makedirs(self.directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.directory, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle)
-            os.replace(tmp_path, self._path(key))
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        write_json_atomic(self._path(key), doc)
 
     def _store(self, key: str, doc: dict[str, Any]) -> None:
         if self.max_bytes is None:
@@ -611,4 +624,5 @@ __all__ = [
     "ProgramCache",
     "PruneReport",
     "job_cache_key",
+    "write_json_atomic",
 ]

@@ -68,11 +68,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Any
 
-from ..engine.cache import job_cache_key
+from ..engine.cache import job_cache_key, write_json_atomic
 from ..engine.jobs import CompileJob, job_from_doc, job_to_doc
 from ..engine.manifest import (
     ManifestError,
@@ -101,19 +100,6 @@ class QueueError(RuntimeError):
 #: Sentinel distinguishing "no tenant filter" from "the default
 #: (None) tenant namespace" in :meth:`JobQueue.counts`.
 _UNFILTERED = object()
-
-
-def _atomic_write(path: str, doc: dict[str, Any]) -> None:
-    directory = os.path.dirname(path)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
 
 
 def queue_wait_s(record: dict[str, Any]) -> float | None:
@@ -213,12 +199,12 @@ class JobQueue(ChangeFeed):
     def _persist_record(self, record: dict[str, Any]) -> None:
         path = self._doc_path(self._jobs_dir, record)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        _atomic_write(path, record)
+        write_json_atomic(path, record)
 
     def _persist_submission(self, doc: dict[str, Any]) -> None:
         path = self._doc_path(self._subs_dir, doc)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        _atomic_write(path, doc)
+        write_json_atomic(path, doc)
 
     # -- submission ----------------------------------------------------
 

@@ -128,3 +128,32 @@ class TestTable2:
         sw, sh = arch.zone_extent_um(Zone.STORAGE)
         assert sw == cw
         assert sh == 2 * ch
+
+
+class TestScalingDoc:
+    def test_passes_ride_beside_the_gated_benchmarks(self, tmp_path):
+        import importlib.util
+        import json
+        import os
+
+        from repro.benchsuite import run_scaling, scaling_doc
+
+        points = run_scaling(sizes=(16,))
+        doc = scaling_doc(points)
+        names = [point.name for point in points]
+        assert list(doc["passes"]) == names
+        for point in points:
+            assert doc["passes"][point.name] == point.pass_timings
+            assert "initial_layout" in doc["passes"][point.name]
+
+        path = tmp_path / "scaling.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        script = os.path.join(
+            os.path.dirname(__file__), "..", "benchmarks", "compare_bench.py"
+        )
+        spec = importlib.util.spec_from_file_location("compare_bench", script)
+        compare_bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(compare_bench)
+        assert compare_bench.load_means(str(path)) == {
+            point.name: point.compile_s for point in points
+        }

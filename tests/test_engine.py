@@ -1,5 +1,8 @@
 """Tests for the batch compilation engine (jobs, cache, fan-out)."""
 
+import io
+import json
+
 import pytest
 
 from repro.baselines import EnolaConfig
@@ -182,6 +185,40 @@ class TestCaches:
             "a.json",
             "b.json",
         ]
+
+    def test_disk_cache_bytes_match_json_dump(self, tmp_path):
+        """One-shot ``json.dumps`` writes what ``json.dump`` wrote."""
+        directory = tmp_path / "cache"
+        cache = DiskCache(str(directory))
+        stored = {}
+        put = cache.put
+
+        def record(key, doc, **kwargs):
+            put(key, doc, **kwargs)
+            stored[key] = doc
+
+        cache.put = record
+        CompilationEngine(cache=cache).run(
+            [CompileJob(scenario="pm_with_storage", benchmark="BV-14")]
+        )
+        assert stored
+        for key, doc in stored.items():
+            text = (directory / f"{key}.json").read_text(encoding="utf-8")
+            # A real artifact: float fields and nested lists.
+            assert isinstance(doc["compile_time"], float)
+            assert "[[" in text
+            want = io.StringIO()
+            json.dump(doc, want)
+            assert text == want.getvalue()
+
+    def test_unencodable_doc_leaves_no_temp_file(self, tmp_path):
+        directory = tmp_path / "cache"
+        cache = DiskCache(str(directory))
+        cache.put("k", {"x": 1})
+        with pytest.raises(TypeError):
+            cache.put("k", {"x": object()})
+        assert [p.name for p in directory.iterdir()] == ["k.json"]
+        assert cache.get("k") == {"x": 1}
 
 
 class TestEngine:

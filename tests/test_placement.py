@@ -101,3 +101,27 @@ class TestAnnealed:
             arch, qc, rng=random.Random(5), iterations_per_qubit=20
         )
         assert a == b
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_zero_temperature_is_greedy(self, arch, seed):
+        """``initial_temperature=0.0`` rejects every uphill move.
+
+        Zero must not fall back to the two-pitch default: at that
+        temperature this ring ends above its row-major start for most
+        seeds.  The tolerance only covers rounding in the per-move
+        deltas.
+        """
+        qc = Circuit(12)
+        for q in range(11):
+            qc.cz(q, q + 1)
+        qc.cz(0, 11)
+        weights = interaction_weights(qc)
+        base = layout_cost(row_major_layout(arch, 12), weights)
+        layout = annealed_layout(
+            arch,
+            qc,
+            rng=random.Random(seed),
+            iterations_per_qubit=20,
+            initial_temperature=0.0,
+        )
+        assert layout_cost(layout, weights) <= base * (1 + 1e-12)
