@@ -8,7 +8,7 @@ to either invalidates every stale entry.  Two jobs collide on a key only
 when they are guaranteed to produce bit-identical programs.
 
 The cached value is the :func:`repro.engine.jobs.execute_job` artifact
-(serialized program + compile time).  Backends:
+(program JSON text, record summary, compile time).  Backends:
 
 * :class:`MemoryCache` -- per-process dict, for repeated sweeps within
   one run;
@@ -52,8 +52,9 @@ from .jobs import AUTO_BACKEND, CompileJob, effective_config, resolve_backend
 #: artifact layout change).  v2: the backend registry name joined the
 #: key payload and artifacts carry per-pass timings.  v3: the
 #: architecture-catalog name and strategy-axis selections joined the
-#: key payload.
-CACHE_SCHEMA_VERSION = 3
+#: key payload.  v4: the program travels as one JSON string and the
+#: artifact carries its record ``summary``.
+CACHE_SCHEMA_VERSION = 4
 
 
 def job_cache_key(job: CompileJob, circuit_digest: str | None = None) -> str:

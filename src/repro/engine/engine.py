@@ -49,6 +49,7 @@ Progress: pass ``progress=callback`` to observe one
 
 from __future__ import annotations
 
+import json
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -58,14 +59,16 @@ from ..circuits.transpile import transpile_to_native
 from ..fidelity.model import FidelityModel, FidelityReport
 from ..schedule.program import NAProgram
 from ..schedule.serialize import program_from_dict
-from ..schedule.validator import validate_program
+from ..schedule.validator import ValidationError, validate_program
 from .cache import ProgramCache, job_cache_key
 from .cachestore import make_cache
 from .jobs import (
     AUTO_BACKEND,
+    SUMMARY_FIELDS,
     CompileJob,
     execute_job_on_circuit,
     resolve_backend,
+    result_summary,
 )
 
 #: Valid ``on_error`` policies.
@@ -138,17 +141,24 @@ class ProgressEvent:
 class JobResult:
     """Outcome of one job: a compiled program, or a failure record.
 
+    A successful result carries the artifact's ``summary`` -- everything
+    a result record reads -- and the program as JSON text.  ``program``
+    and ``fidelity`` are built from that text on first access (the text
+    is dropped once the program exists), so a stream that only writes
+    records never parses a program or replays its timeline.
+
     Attributes:
         job: The originating job.
         index: Position of the job in the submitted batch (restores
             submission order for streamed results).
         key: Content-addressed cache key.
-        program: The compiled program (``None`` when the job failed).
         compile_time: Wall-clock compilation seconds (``T_comp``); on a
             cache hit, the time the original compilation took.
-        fidelity: Eq. (1) evaluation under the job's hardware params
-            (``None`` when the job failed).
         cache_hit: Whether the compilation was skipped.
+        summary: The artifact's :func:`~repro.engine.jobs.result_summary`
+            -- Eq. (1) ``total``, ``execution_time`` (seconds) and the
+            stage / CollMove / transfer counts (``None`` when the job
+            failed).
         error: :class:`JobFailure` describing the failure, or ``None``
             on success.
         attempts: Number of compilation attempts this outcome took
@@ -172,19 +182,27 @@ class JobResult:
             compilations stay span-free: their perf counters are not
             comparable across processes.
             Volatile by definition: never part of result records.
+        program_text: The artifact's program JSON until ``program`` is
+            first read.
     """
 
     job: CompileJob
     index: int
     key: str
-    program: NAProgram | None
     compile_time: float
-    fidelity: FidelityReport | None
     cache_hit: bool
+    summary: dict[str, Any] | None = None
     error: JobFailure | None = None
     attempts: int = 1
     retry_wait_s: float = 0.0
     stats: dict[str, Any] = field(default_factory=dict)
+    program_text: str | None = field(default=None, repr=False)
+    _program: NAProgram | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _fidelity: FidelityReport | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -195,6 +213,43 @@ class JobResult:
     def scenario(self) -> str:
         """The job's reporting key (legacy scenario or backend name)."""
         return self.job.scenario_key
+
+    @property
+    def program(self) -> NAProgram | None:
+        """The compiled program (``None`` when the job failed)."""
+        text = self.program_text
+        if self._program is None and text is not None:
+            self._program = program_from_dict(json.loads(text))
+            self.program_text = None
+        return self._program
+
+    @property
+    def fidelity(self) -> FidelityReport | None:
+        """Eq. (1) evaluation under the job's hardware params (``None``
+        when the job failed)."""
+        if self._fidelity is None and self.program is not None:
+            self._fidelity = FidelityModel(self.job.params).evaluate(
+                self.program
+            )
+        return self._fidelity
+
+
+def _is_artifact(doc: Any) -> bool:
+    """Whether a cached document has the current artifact shape.
+
+    Anything else (a hand-edited or foreign entry under a live key) is
+    treated as a miss: recompiled and overwritten, never a crash on the
+    hit path.
+    """
+    if not isinstance(doc, dict):
+        return False
+    summary = doc.get("summary")
+    return (
+        isinstance(doc.get("program"), str)
+        and isinstance(summary, dict)
+        and all(name in summary for name in SUMMARY_FIELDS)
+        and isinstance(doc.get("compile_time"), (int, float))
+    )
 
 
 ProgressCallback = Callable[[ProgressEvent], None]
@@ -337,6 +392,8 @@ class CompilationEngine:
             lookup_start = time.perf_counter()
             doc = self.cache.get(key)
             lookup_end = time.perf_counter()
+            if doc is not None and not _is_artifact(doc):
+                doc = None
             lookup_spans[index] = _lookup_span(
                 lookup_start,
                 lookup_end,
@@ -651,9 +708,7 @@ class CompilationEngine:
             job=job,
             index=index,
             key=key,
-            program=None,
             compile_time=0.0,
-            fidelity=None,
             cache_hit=False,
             error=failure,
             attempts=attempts,
@@ -673,7 +728,23 @@ class CompilationEngine:
         retry_wait_s: float = 0.0,
         hit_tier: str | None = None,
     ) -> JobResult:
-        program = program_from_dict(doc["program"])
+        stats: dict[str, Any] = {
+            "pass_timings": doc.get("pass_timings", {}),
+        }
+        if cache_hit and hit_tier is not None:
+            stats["cache_tier"] = hit_tier
+        result = JobResult(
+            job=job,
+            index=index,
+            key=key,
+            compile_time=doc["compile_time"],
+            cache_hit=cache_hit,
+            summary=doc["summary"],
+            attempts=attempts,
+            retry_wait_s=retry_wait_s,
+            stats=stats,
+            program_text=doc["program"],
+        )
         if cache_hit and job.validate and not doc.get("validated"):
             from ..pipeline.registry import REGISTRY
 
@@ -683,30 +754,21 @@ class CompilationEngine:
                 if circuit is not None and preserves
                 else None
             )
-            validate_program(program, source_circuit=source)
+            validate_program(result.program, source_circuit=source)
+            # The records read the stored summary, so an unchecked entry
+            # must prove it describes the program it carries.
+            if result_summary(result.program, result.fidelity) != (
+                result.summary
+            ):
+                raise ValidationError(
+                    "stored summary differs from the program's own"
+                )
             # Persist the successful validation so future hits on this
             # key skip the (expensive) re-check.  Counted apart from
             # fresh stores and tier fills (kind="revalidate").
             self.cache.put(key, {**doc, "validated": True},
                            kind="revalidate")
-        fidelity = FidelityModel(job.params).evaluate(program)
-        stats: dict[str, Any] = {
-            "pass_timings": doc.get("pass_timings", {}),
-        }
-        if cache_hit and hit_tier is not None:
-            stats["cache_tier"] = hit_tier
-        return JobResult(
-            job=job,
-            index=index,
-            key=key,
-            program=program,
-            compile_time=doc["compile_time"],
-            fidelity=fidelity,
-            cache_hit=cache_hit,
-            attempts=attempts,
-            retry_wait_s=retry_wait_s,
-            stats=stats,
-        )
+        return result
 
     def _emit(
         self,

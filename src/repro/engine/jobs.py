@@ -13,13 +13,14 @@ explicit ``seed`` -- two executions of the same job, in any process,
 produce bit-identical programs.
 
 :func:`execute_job` is the pure worker function: job in, serialized
-program artifact out.  It lives at module level so
-``concurrent.futures`` process pools can pickle it.  Compilers are
-resolved through the backend registry.
+program artifact (plus its record summary) out.  It lives at module
+level so ``concurrent.futures`` process pools can pickle it.  Compilers
+are resolved through the backend registry.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping
 
@@ -28,11 +29,13 @@ from ..baselines.enola import EnolaConfig
 from ..benchsuite.suite import get_benchmark
 from ..circuits.circuit import Circuit
 from ..core.config import PowerMoveConfig
+from ..fidelity.model import FidelityModel, FidelityReport
 from ..hardware.catalog import ARCHITECTURES
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
 from ..pipeline.costmodel import AUTO_BACKEND, choose_backend
 from ..pipeline.registry import REGISTRY, PipelineCompiler
 from ..pipeline.strategies import validate_strategies
+from ..schedule.program import NAProgram
 from ..schedule.serialize import program_to_dict
 from ..schedule.validator import validate_program
 
@@ -46,6 +49,17 @@ SCENARIO_BACKENDS = {
     "pm_non_storage": "powermove-nonstorage",
     "pm_with_storage": "powermove",
 }
+
+
+#: Keys of an artifact's ``summary``: the Eq. (1) ``total``, ``T_exe``
+#: in seconds and the program counters a result record reports.
+SUMMARY_FIELDS = (
+    "total",
+    "execution_time",
+    "num_stages",
+    "num_coll_moves",
+    "num_transfers",
+)
 
 
 class JobError(ValueError):
@@ -346,6 +360,23 @@ def job_from_doc(doc: dict[str, Any]) -> CompileJob:
         raise JobError(f"bad job document: {exc}") from exc
 
 
+def result_summary(
+    program: NAProgram, report: FidelityReport
+) -> dict[str, Any]:
+    """The record-facing numbers of a program and its Eq. (1) report.
+
+    Keys are :data:`SUMMARY_FIELDS`; the values are taken as-is, so a
+    summary equals the one recomputed from the same program bit for bit.
+    """
+    return {
+        "total": report.total,
+        "execution_time": report.execution_time,
+        "num_stages": program.num_stages,
+        "num_coll_moves": program.num_coll_moves,
+        "num_transfers": program.num_transfers,
+    }
+
+
 def execute_job_on_circuit(
     job: CompileJob, circuit: Circuit
 ) -> dict[str, Any]:
@@ -353,11 +384,18 @@ def execute_job_on_circuit(
 
     The artifact is the unit stored in the content-addressed cache::
 
-        {"program": <serialize.program_to_dict doc>,
+        {"program": <json.dumps of the serialize.program_to_dict doc>,
+         "summary": <result_summary of the program>,
          "compile_time": <T_comp seconds>,
          "validated": <bool>,
          "pass_timings": <pass name -> seconds>,
          "pass_spans": [[name, start_s, end_s], ...]}
+
+    The program travels as one JSON string: it parses far faster than
+    the nested document, and a result record never parses it at all --
+    it reads ``summary``, the fidelity replay of the program just
+    compiled (on the pool path, computed in the worker).  ``params`` is
+    part of the cache key, so the summary is a pure function of it.
 
     ``pass_spans`` are this compile's real per-pass offsets (relative
     to compile start) -- measurement of *this* run, not content; the
@@ -368,18 +406,21 @@ def execute_job_on_circuit(
     compilation = job_compiler(job).compile(
         circuit, arch=job.arch, strategies=job.strategies_map
     )
+    program = compilation.program
     if job.validate:
         spec = REGISTRY.get(job.backend_name)
         validate_program(
-            compilation.program,
+            program,
             source_circuit=(
                 compilation.native_circuit
                 if spec.preserves_gate_stream
                 else None
             ),
         )
+    report = FidelityModel(job.params).evaluate(program)
     return {
-        "program": program_to_dict(compilation.program),
+        "program": json.dumps(program_to_dict(program)),
+        "summary": result_summary(program, report),
         "compile_time": compilation.compile_time,
         "validated": job.validate,
         "pass_timings": compilation.stats.get("pass_timings", {}),
@@ -398,6 +439,7 @@ __all__ = [
     "JobError",
     "SCENARIOS",
     "SCENARIO_BACKENDS",
+    "SUMMARY_FIELDS",
     "effective_config",
     "execute_job",
     "execute_job_on_circuit",
@@ -405,4 +447,5 @@ __all__ = [
     "job_from_doc",
     "job_to_doc",
     "resolve_backend",
+    "result_summary",
 ]

@@ -139,13 +139,17 @@ def job_record(result: JobResult, index: int) -> dict[str, Any]:
         record["attempts"] = result.attempts
         record["retry_wait_s"] = result.retry_wait_s
     if result.ok:
+        # Read from the stored summary: a record never builds the
+        # program or replays it.  ``execution_time_us`` is computed as
+        # FidelityReport.execution_time_us computes it.
+        summary = result.summary
         record.update(
             {
-                "fidelity": result.fidelity.total,
-                "execution_time_us": result.fidelity.execution_time_us,
-                "num_stages": result.program.num_stages,
-                "num_coll_moves": result.program.num_coll_moves,
-                "num_transfers": result.program.num_transfers,
+                "fidelity": summary["total"],
+                "execution_time_us": summary["execution_time"] * 1e6,
+                "num_stages": summary["num_stages"],
+                "num_coll_moves": summary["num_coll_moves"],
+                "num_transfers": summary["num_transfers"],
             }
         )
     else:

@@ -101,7 +101,7 @@ class TestCompileJob:
     def test_execute_job_returns_artifact(self):
         job = CompileJob(scenario="pm_with_storage", benchmark="BV-14")
         artifact = execute_job(job)
-        assert artifact["program"]["format"] == "repro-naprogram"
+        assert json.loads(artifact["program"])["format"] == "repro-naprogram"
         assert artifact["compile_time"] > 0.0
         assert artifact["validated"] is True
 
@@ -321,12 +321,13 @@ class TestEngine:
         # executed gate multiset no longer matches the circuit) and
         # reset the persisted flag: the re-check must now fire and fail.
         doc = cache.get(hit.key)
-        doc["program"]["instructions"] = [
+        program = json.loads(doc["program"])
+        program["instructions"] = [
             entry
-            for entry in doc["program"]["instructions"]
+            for entry in program["instructions"]
             if entry["kind"] != "rydberg"
         ]
-        doc["validated"] = False
+        doc = {**doc, "program": json.dumps(program), "validated": False}
         cache.put(hit.key, doc)
         with pytest.raises(ValidationError):
             engine.run([validated])

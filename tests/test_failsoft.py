@@ -6,6 +6,8 @@ out-of-range gate (appended past the bounds check), which raises a
 process-pool workers alike, since the circuit pickles cleanly.
 """
 
+import json
+
 import pytest
 
 from repro.circuits.circuit import Circuit
@@ -86,12 +88,13 @@ class TestCollectPolicy:
         )
         [cold] = engine.run([unvalidated])
         doc = cache.get(cold.key)
-        doc["program"]["instructions"] = [
+        program = json.loads(doc["program"])
+        program["instructions"] = [
             entry
-            for entry in doc["program"]["instructions"]
+            for entry in program["instructions"]
             if entry["kind"] != "rydberg"
         ]
-        doc["validated"] = False
+        doc = {**doc, "program": json.dumps(program), "validated": False}
         cache.put(cold.key, doc)
         validated = CompileJob(
             scenario="pm_with_storage", benchmark="BV-14", validate=True
