@@ -46,7 +46,13 @@ except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
 from ..schedule.serialize import FORMAT_VERSION
-from .jobs import AUTO_BACKEND, CompileJob, effective_config, resolve_backend
+from .jobs import (
+    AUTO_BACKEND,
+    CompileJob,
+    benchmark_digest,
+    effective_config,
+    resolve_backend,
+)
 
 #: Bump to invalidate every existing cache entry (key derivation or
 #: artifact layout change).  v2: the backend registry name joined the
@@ -68,14 +74,18 @@ def job_cache_key(job: CompileJob, circuit_digest: str | None = None) -> str:
     Args:
         job: The compilation request.
         circuit_digest: Pre-computed :meth:`Circuit.digest` of the job's
-            resolved circuit (resolved here when omitted).
+            resolved circuit.  When omitted, a suite job keys off the
+            memoised :func:`~repro.engine.jobs.benchmark_digest` and
+            builds no circuit.
     """
-    circuit = None
     if circuit_digest is None:
-        circuit = job.resolve_circuit()
-        circuit_digest = circuit.digest()
+        circuit_digest = (
+            job.circuit.digest()
+            if job.circuit is not None
+            else benchmark_digest(job.benchmark, job.seed)
+        )
     if job.backend == AUTO_BACKEND:
-        job = resolve_backend(job, circuit)
+        job = resolve_backend(job)
     config = effective_config(job)
     payload = json.dumps(
         {

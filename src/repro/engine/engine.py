@@ -4,12 +4,14 @@
 :class:`~repro.engine.jobs.CompileJob` and produces one
 :class:`JobResult` per job.  For every job it
 
-1. resolves the workload circuit and derives the content-addressed
-   cache key (:func:`repro.engine.cache.job_cache_key`);
+1. derives the content-addressed cache key
+   (:func:`repro.engine.cache.job_cache_key`) from the workload
+   circuit's memoised digest;
 2. serves the job from the cache when possible;
-3. otherwise compiles it -- in-process, or fanned out over a
-   ``concurrent.futures`` process pool when ``workers > 1`` -- and
-   stores the artifact back into the cache.
+3. otherwise builds the workload circuit and compiles it --
+   in-process, or fanned out over a ``concurrent.futures`` process
+   pool when ``workers > 1`` -- and stores the artifact back into the
+   cache.
 
 Two consumption styles:
 
@@ -371,24 +373,31 @@ class CompilationEngine:
         pending: list[tuple[int, CompileJob, Any, str]] = []
         lookup_spans: dict[int, dict[str, Any]] = {}
 
+        # Circuits are built only where they are read: a miss compiles
+        # one, an ``auto`` job's cost model inspects one and a validating
+        # hit on an unvalidated entry replays against one.  A plain hit
+        # keys off the memoised digest and builds nothing.
         resolved: dict[tuple[str, int], Any] = {}
+
+        def resolve(job: CompileJob) -> Any:
+            if job.circuit is not None:
+                return job.circuit
+            workload = (job.benchmark, job.seed)
+            if workload not in resolved:
+                resolved[workload] = job.resolve_circuit()
+            return resolved[workload]
+
         auto_choices: dict[int, str] = {}
         for index, job in enumerate(batch):
-            if job.circuit is not None:
-                circuit = job.circuit
-            else:
-                workload = (job.benchmark, job.seed)
-                circuit = resolved.get(workload)
-                if circuit is None:
-                    circuit = job.resolve_circuit()
-                    resolved[workload] = circuit
+            circuit = None
             if job.backend == AUTO_BACKEND:
                 # Resolve the cost-model choice once, here: downstream
                 # (cache key, worker, records) sees the concrete
                 # backend, and the choice is surfaced in result stats.
+                circuit = resolve(job)
                 job = resolve_backend(job, circuit)
                 auto_choices[index] = job.backend_name
-            key = job_cache_key(job, circuit.digest())
+            key = job_cache_key(job)
             lookup_start = time.perf_counter()
             doc = self.cache.get(key)
             lookup_end = time.perf_counter()
@@ -405,6 +414,8 @@ class CompilationEngine:
                 if hit_tier is not None:
                     lookup_spans[index]["attrs"]["tier"] = hit_tier
                 try:
+                    if job.validate and not doc.get("validated"):
+                        circuit = resolve(job)
                     result = self._result_from_artifact(
                         job, index, key, doc, cache_hit=True,
                         circuit=circuit, hit_tier=hit_tier,
@@ -425,7 +436,7 @@ class CompilationEngine:
                 self._emit(index, total, job, True, doc["compile_time"])
                 yield result
             else:
-                pending.append((index, job, circuit, key))
+                pending.append((index, job, resolve(job), key))
 
         for result in self._compile_pending(
             pending, total, policy, lookup_spans=lookup_spans

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Any, Mapping
 
 from ..baselines.atomique import AtomiqueConfig
@@ -223,6 +224,18 @@ class CompileJob:
         if self.circuit is not None:
             return self.circuit
         return get_benchmark(self.benchmark).build(self.seed)
+
+
+@lru_cache(maxsize=1024)
+def benchmark_digest(benchmark: str, seed: int) -> str:
+    """:meth:`Circuit.digest` of a suite row's ``seed`` instance.
+
+    Memoised per process (bounded, least recently used out): a suite
+    circuit is a pure function of its row key and seed, so the queue's
+    submit, the coordinator and every worker engine build and hash each
+    distinct workload once, however many jobs name it.
+    """
+    return get_benchmark(benchmark).build(seed).digest()
 
 
 def resolve_backend(
@@ -440,6 +453,7 @@ __all__ = [
     "SCENARIOS",
     "SCENARIO_BACKENDS",
     "SUMMARY_FIELDS",
+    "benchmark_digest",
     "effective_config",
     "execute_job",
     "execute_job_on_circuit",

@@ -297,6 +297,7 @@ class ServiceServer(AsyncServerCore):
             self._metrics_http.stop()
             self._metrics_http = None
         self._join_threads()
+        self.queue.close()
         try:
             # Deferred write-back cache entries must survive the
             # daemon.  Workers flush on their own way out too (a slow
@@ -767,7 +768,7 @@ class ServiceServer(AsyncServerCore):
             feed=queue,
             finished=lambda offset: [
                 (record["id"], record["record"])
-                for record in queue.completed_records(sub_id)[offset:]
+                for record in queue.completed_records(sub_id, offset)
             ],
             finished_count=lambda: queue.completed_count(sub_id),
         )

@@ -68,7 +68,9 @@ def batch_document(manifest):
 
 @pytest.fixture
 def queue(tmp_path):
-    return JobQueue(str(tmp_path / "queue"))
+    queue = JobQueue(str(tmp_path / "queue"))
+    yield queue
+    queue.close()
 
 
 def start_server(tmp_path, **kwargs):
