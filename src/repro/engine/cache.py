@@ -38,7 +38,7 @@ import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Any
+from typing import Any, Callable
 
 try:  # POSIX only; the lock degrades to in-process on other platforms
     import fcntl
@@ -61,6 +61,41 @@ from .jobs import (
 #: key payload.  v4: the program travels as one JSON string and the
 #: artifact carries its record ``summary``.
 CACHE_SCHEMA_VERSION = 4
+
+
+#: Bound on the :func:`_key_fields` memo (cleared when full).
+KEY_FIELDS_MEMO_SIZE = 1024
+
+_key_fields_memo: dict[tuple, dict[str, Any]] = {}
+_SCALAR_TYPES = frozenset({bool, int, float, str, type(None)})
+
+
+def _key_fields(obj: Any) -> dict[str, Any]:
+    """``asdict(obj)`` of a frozen config or params dataclass, memoised.
+
+    The memo is keyed by the instance's exact value: its class plus its
+    field values *and their types*, so ``1``, ``1.0`` and ``True`` --
+    equal in Python, different in JSON -- never share an entry.  The
+    one equal pair of scalars that JSON tells apart is ``0.0`` and
+    ``-0.0``, so values holding a zero are keyed by their ``repr``.
+    Anything but flat scalar fields is not memoised.  The returned dict
+    is shared: read it, never mutate it.
+    """
+    values = tuple(vars(obj).values())
+    kinds = tuple(map(type, values))
+    if not _SCALAR_TYPES.issuperset(kinds):
+        return asdict(obj)
+    if 0 in values:
+        token: tuple = (type(obj), repr(values))
+    else:
+        token = (type(obj), values, kinds)
+    fields = _key_fields_memo.get(token)
+    if fields is None:
+        fields = asdict(obj)
+        if len(_key_fields_memo) >= KEY_FIELDS_MEMO_SIZE:
+            _key_fields_memo.clear()
+        _key_fields_memo[token] = fields
+    return fields
 
 
 def job_cache_key(job: CompileJob, circuit_digest: str | None = None) -> str:
@@ -94,8 +129,8 @@ def job_cache_key(job: CompileJob, circuit_digest: str | None = None) -> str:
             "circuit": circuit_digest,
             "backend": job.backend_name,
             "config_kind": type(config).__name__,
-            "config": asdict(config),
-            "params": asdict(job.params),
+            "config": _key_fields(config),
+            "params": _key_fields(job.params),
             "num_aods": job.num_aods,
             "seed": job.seed,
             "arch": job.arch,
@@ -166,6 +201,9 @@ class ProgramCache:
 
     #: Short backend identity used in specs, stats and tier names.
     kind = "cache"
+    #: Whether a lookup stays on this machine (in-process or on local
+    #: disk); :meth:`probe` reads only local tiers.
+    local = True
 
     def __init__(self) -> None:
         self.stats = CacheStats()
@@ -196,8 +234,33 @@ class ProgramCache:
         """Look up an artifact; ``None`` on miss."""
         start = time.perf_counter()
         doc = self._load(key)
-        duration = time.perf_counter() - start
-        hit = doc is not None
+        self._count_lookup(time.perf_counter() - start, doc is not None)
+        return doc
+
+    def probe(
+        self, key: str, accept: Callable[[dict[str, Any]], bool]
+    ) -> dict[str, Any] | None:
+        """A lookup that counts only when it serves: the daemon's
+        submit-time cache probe.
+
+        Reads only tiers that stay on this machine (:attr:`local`).
+        When the found artifact passes ``accept``, the lookup is
+        counted and attributed exactly as :meth:`get` would count it
+        and the artifact is returned.  Otherwise nothing is counted and
+        ``None`` is returned: the job goes to a worker, whose
+        :meth:`get` is then its one counted lookup.
+        """
+        if not self.local:
+            return None
+        start = time.perf_counter()
+        doc = self._load(key)
+        if doc is None or not accept(doc):
+            return None
+        self._count_lookup(time.perf_counter() - start, True)
+        return doc
+
+    def _count_lookup(self, duration: float, hit: bool) -> None:
+        """Count one lookup and record its per-thread attribution."""
         with self._stats_lock:
             if hit:
                 self.stats.hits += 1
@@ -207,7 +270,6 @@ class ProgramCache:
         self._tls.lookup_profile = [
             {"tier": self.kind, "duration_s": duration, "hit": hit}
         ]
-        return doc
 
     def put(
         self, key: str, doc: dict[str, Any], *, kind: str = "store"

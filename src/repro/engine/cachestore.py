@@ -61,7 +61,7 @@ import urllib.parse
 import urllib.request
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .cache import (
     DiskCache,
@@ -140,6 +140,7 @@ class RemoteCache(ProgramCache):
     """
 
     kind = "remote"
+    local = False
 
     def __init__(
         self,
@@ -711,6 +712,47 @@ class TieredCache(ProgramCache):
                 found = doc
                 hit_position = position
                 break
+        self._settle(key, found, hit_position, profile)
+        return found
+
+    def probe(
+        self, key: str, accept: Callable[[dict[str, Any]], bool]
+    ) -> dict[str, Any] | None:
+        """Walk the local tiers above the first remote one; count the
+        walk as :meth:`get` would only when a found artifact passes
+        ``accept`` (see :meth:`ProgramCache.probe`)."""
+        profile: list[dict[str, Any]] = []
+        for position, tier in enumerate(self.tiers):
+            if not tier.local:
+                return None
+            start = time.perf_counter()
+            doc = tier._load(key)
+            profile.append(
+                {
+                    "tier": self.tier_names[position],
+                    "duration_s": time.perf_counter() - start,
+                    "hit": doc is not None,
+                }
+            )
+            if doc is not None:
+                break
+        else:
+            return None
+        if not accept(doc):
+            return None
+        for tier, entry in zip(self.tiers, profile):
+            tier._count_lookup(entry["duration_s"], entry["hit"])
+        self._settle(key, doc, position, profile)
+        return doc
+
+    def _settle(
+        self,
+        key: str,
+        found: dict[str, Any] | None,
+        hit_position: int,
+        profile: list[dict[str, Any]],
+    ) -> None:
+        """Fill the tiers above a hit and count the composed lookup."""
         if found is not None:
             for upper in self.tiers[:hit_position]:
                 upper.put(key, found, kind="fill")
@@ -722,7 +764,6 @@ class TieredCache(ProgramCache):
                 self.stats.misses += 1
             self.last_hit_tier = None
         self._tls.lookup_profile = profile
-        return found
 
     def put(
         self, key: str, doc: dict[str, Any], *, kind: str = "store"

@@ -398,27 +398,13 @@ class CompilationEngine:
                 job = resolve_backend(job, circuit)
                 auto_choices[index] = job.backend_name
             key = job_cache_key(job)
-            lookup_start = time.perf_counter()
-            doc = self.cache.get(key)
-            lookup_end = time.perf_counter()
-            if doc is not None and not _is_artifact(doc):
-                doc = None
-            lookup_spans[index] = _lookup_span(
-                lookup_start,
-                lookup_end,
-                self.cache.last_lookup_profile,
-                hit=doc is not None,
-            )
+            doc, lookup_spans[index] = self._lookup(key)
             if doc is not None:
-                hit_tier = self.cache.last_hit_tier
-                if hit_tier is not None:
-                    lookup_spans[index]["attrs"]["tier"] = hit_tier
                 try:
                     if job.validate and not doc.get("validated"):
                         circuit = resolve(job)
-                    result = self._result_from_artifact(
-                        job, index, key, doc, cache_hit=True,
-                        circuit=circuit, hit_tier=hit_tier,
+                    result = self._hit(
+                        job, index, key, doc, lookup_spans[index], circuit
                     )
                 except Exception as exc:
                     # Historical contract: hit-path validation errors
@@ -432,7 +418,6 @@ class CompilationEngine:
                     continue
                 if index in auto_choices:
                     result.stats["auto_backend"] = auto_choices[index]
-                result.stats["spans"] = [lookup_spans[index]]
                 self._emit(index, total, job, True, doc["compile_time"])
                 yield result
             else:
@@ -444,6 +429,85 @@ class CompilationEngine:
             if result.index in auto_choices and result.ok:
                 result.stats["auto_backend"] = auto_choices[result.index]
             yield result
+
+    def cached_result(
+        self, job: CompileJob, key: str, index: int = 0
+    ) -> JobResult | None:
+        """Answer ``job`` from the cache's local tiers, or ``None``.
+
+        The daemon's submit path: ``key`` is the job's
+        :func:`~repro.engine.cache.job_cache_key`.  Only a *plain* hit
+        is answered -- a current artifact that needs no check (stored
+        ``validated``, or the job does not validate) -- through the
+        same :meth:`_hit` a batch stream runs.  An ``auto`` job, a
+        validating hit on an unvalidated entry, a miss and a hit only a
+        remote tier holds return ``None`` and count no lookup
+        (:meth:`~repro.engine.cache.ProgramCache.probe`); they run on a
+        worker.
+        """
+        if job.backend == AUTO_BACKEND:
+            return None
+
+        def plain(doc: dict[str, Any]) -> bool:
+            return _is_artifact(doc) and (
+                not job.validate or bool(doc.get("validated"))
+            )
+
+        doc, span = self._lookup(key, probe=plain)
+        if doc is None:
+            return None
+        return self._hit(job, index, key, doc, span)
+
+    def _lookup(
+        self,
+        key: str,
+        probe: Callable[[dict[str, Any]], bool] | None = None,
+    ) -> tuple[dict[str, Any] | None, dict[str, Any]]:
+        """One cache lookup: the artifact (``None`` on a miss or a
+        foreign entry) and its raw ``cache.lookup`` span.
+
+        With ``probe``, a :meth:`ProgramCache.probe` of the local tiers
+        that serves only artifacts ``probe`` accepts.
+        """
+        start = time.perf_counter()
+        if probe is None:
+            doc = self.cache.get(key)
+            if doc is not None and not _is_artifact(doc):
+                doc = None
+        else:
+            doc = self.cache.probe(key, probe)
+        span = _lookup_span(
+            start,
+            time.perf_counter(),
+            self.cache.last_lookup_profile,
+            hit=doc is not None,
+        )
+        if doc is not None and self.cache.last_hit_tier is not None:
+            span["attrs"]["tier"] = self.cache.last_hit_tier
+        return doc, span
+
+    def _hit(
+        self,
+        job: CompileJob,
+        index: int,
+        key: str,
+        doc: dict[str, Any],
+        span: dict[str, Any],
+        circuit: Any = None,
+    ) -> JobResult:
+        """The result of a cache hit, carrying its lookup span: the one
+        step that turns a cached artifact into a result, for a batch
+        stream and the daemon's submit path alike.
+
+        A validating job on an unvalidated entry is checked against
+        ``circuit`` first (raises on a mismatch).
+        """
+        result = self._result_from_artifact(
+            job, index, key, doc, cache_hit=True,
+            circuit=circuit, hit_tier=span["attrs"].get("tier"),
+        )
+        result.stats["spans"] = [span]
+        return result
 
     # ------------------------------------------------------------------
 

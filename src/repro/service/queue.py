@@ -11,8 +11,12 @@ One :class:`JobQueue` owns a directory::
 Its first line holds the submission document and all of its job
 records; it is written with one ``write`` and one ``fsync``, and the
 journal directory is fsynced once the file exists, so an acknowledged
-submission survives power loss.  Every later state change of one of
-its jobs appends one line::
+submission survives power loss.  Records in the submit line are
+usually ``queued``, but a job the daemon answered at submit (a plain
+cache hit, see :meth:`JobQueue.submit`'s ``answer``) is already
+``done`` there, with its ``completed_seq`` and result record; replay
+indexes it like any other finished record.  Every later state change
+of one of its jobs appends one line::
 
     {"op": "submit", "submission": {...}, "jobs": [{<record>}, ...]}
     {"op": "lease", "id": ..., "worker": ..., "expires_at": ...,
@@ -105,7 +109,7 @@ import json
 import os
 import time
 from collections import OrderedDict
-from typing import Any
+from typing import Any, Callable
 
 from ..engine.cache import job_cache_key
 from ..engine.jobs import CompileJob, job_from_doc, job_to_doc
@@ -141,6 +145,11 @@ class QueueError(RuntimeError):
 #: Sentinel distinguishing "no tenant filter" from "the default
 #: (None) tenant namespace" in :meth:`JobQueue.counts`.
 _UNFILTERED = object()
+
+
+#: ``answer(job_id, index, job, cache_key)`` of :meth:`JobQueue.submit`:
+#: a finished job's result record, or ``None`` to queue the job.
+Answer = Callable[[str, int, CompileJob, str], "dict[str, Any] | None"]
 
 
 def queue_wait_s(record: dict[str, Any]) -> float | None:
@@ -513,6 +522,9 @@ class JobQueue(ChangeFeed):
         manifest_doc: Any,
         priority: int = 0,
         tenant: str | None = None,
+        *,
+        jobs: list[CompileJob] | None = None,
+        answer: Answer | None = None,
     ) -> dict[str, Any]:
         """Expand a manifest into queued jobs; returns the submission.
 
@@ -521,8 +533,22 @@ class JobQueue(ChangeFeed):
         anything is enqueued, so a malformed submission leaves the
         queue untouched.  ``tenant`` prefixes the submission id (see
         module doc).  The submission is on disk (fsynced) on return.
+
+        Args:
+            manifest_doc: The manifest (its digest names the results).
+            priority: Scheduling priority of every job.
+            tenant: Owning tenant, ``None`` for the default namespace.
+            jobs: ``parse_manifest(manifest_doc)``, when the caller
+                already parsed it.
+            answer: ``answer(job_id, index, job, cache_key)`` returns a
+                finished job's result record, or ``None`` to queue the
+                job.  Answered jobs enter the submit line already
+                finished, with ``completed_seq`` values in index order,
+                so they become visible to result streams -- ahead of
+                every queued job -- only once that line is fsynced.
         """
-        jobs = parse_manifest(manifest_doc)  # raises ManifestError
+        if jobs is None:
+            jobs = parse_manifest(manifest_doc)  # raises ManifestError
         digest = manifest_digest(manifest_doc)
         keys = [job_cache_key(job) for job in jobs]
         job_docs = [job_to_doc(job) for job in jobs]
@@ -568,6 +594,8 @@ class JobQueue(ChangeFeed):
                 zip(job_docs, keys, job_ids)
             )
         ]
+        if answer is not None:
+            self._answer(records, jobs, answer)
         # The journal is this submission's own file, so it is written
         # and fsynced outside the lock; nobody sees the submission
         # before it is durable.
@@ -582,6 +610,34 @@ class JobQueue(ChangeFeed):
             self._add_submission(submission, records)
             self._notify_all()
         return submission
+
+    def _answer(
+        self,
+        records: list[dict[str, Any]],
+        jobs: list[CompileJob],
+        answer: Answer,
+    ) -> None:
+        """Finish the records ``answer`` returns a result record for."""
+        answered = []
+        for record, job in zip(records, jobs):
+            outcome = answer(record["id"], record["index"], job,
+                             record["cache_key"])
+            if outcome is not None:
+                answered.append((record, outcome))
+        if not answered:
+            return
+        with self._lock:
+            first = self._completed_seq + 1
+            self._completed_seq += len(answered)
+        now = time.time()
+        for seq, (record, outcome) in enumerate(answered, start=first):
+            record.update(
+                status="done" if outcome.get("status") == "ok" else "error",
+                first_leased_at=record["enqueued_at"],
+                completed_seq=seq,
+                completed_at=now,
+                record=outcome,
+            )
 
     # -- scheduling ----------------------------------------------------
 

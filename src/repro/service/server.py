@@ -22,7 +22,9 @@ A :class:`ServiceServer` ties together the three service halves:
   :class:`~repro.engine.CompilationEngine` (one engine per worker,
   sharing one program cache) with per-job retry-with-backoff and
   ``on_error="collect"``, so a failing job becomes an error record
-  instead of a dead daemon.
+  instead of a dead daemon.  A plain cache hit never reaches them:
+  ``submit`` answers it from the local cache tiers and the job is
+  finished inside the submission's fsynced submit line.
 
 A maintenance thread requeues expired leases, so a job whose worker
 thread died (or whose previous daemon was SIGKILLed mid-compile)
@@ -47,7 +49,7 @@ from typing import Any
 
 from ..engine.cache import DiskCache, MemoryCache, ProgramCache
 from ..engine.cachestore import cache_stats_registry, make_cache
-from ..engine.engine import CompilationEngine
+from ..engine.engine import CompilationEngine, JobResult
 from ..engine.shard import job_record
 from ..obs.metrics import (
     MetricsRegistry,
@@ -84,6 +86,38 @@ def _parse_metrics_listen(spec: str) -> tuple[str, int]:
         raise ValueError(
             f"bad metrics listen spec {spec!r}: expected HOST:PORT or PORT"
         ) from None
+
+
+def _trace_doc(
+    job_id: str,
+    benchmark: str | None,
+    backend: str,
+    worker: str,
+    origin: float,
+    queue_wait: float,
+    result: JobResult | None,
+) -> dict[str, Any]:
+    """A finished job's ``trace-v1`` document.
+
+    ``origin`` is the ``time.perf_counter()`` instant of the enqueue,
+    so offset ``0.0`` starts the ``queue.wait`` span.  Daemon engines
+    are serial (``workers=1``), so they recorded raw perf-counter spans;
+    those are shifted onto the same timeline.
+    """
+    trace = Trace(
+        "job",
+        attrs={"benchmark": benchmark, "backend": backend, "worker": worker},
+        origin=origin,
+    )
+    trace.add_span("queue.wait", 0.0, queue_wait)
+    if result is not None:
+        rebase_spans(
+            result.stats.get("spans") or (),
+            trace,
+            trace.root,
+            trace.offset_of(0.0),
+        )
+    return trace.to_doc(job=job_id)
 
 
 class ServiceServer(AsyncServerCore):
@@ -171,6 +205,9 @@ class ServiceServer(AsyncServerCore):
             cache = make_cache(cache)
         self.queue = JobQueue(queue_dir)
         self.cache = cache
+        # Answers plain cache hits at submit (``_enqueue``); it only
+        # reads the cache, so concurrent submits share it.
+        self._front = CompilationEngine(cache=cache, on_error="collect")
         self.workers = workers
         self.retries = retries
         self.backoff = backoff
@@ -389,16 +426,6 @@ class ServiceServer(AsyncServerCore):
             if enqueued is not None
             else 0.0
         )
-        trace = Trace(
-            "job",
-            attrs={
-                "benchmark": job_doc.get("benchmark"),
-                "backend": backend,
-                "worker": worker_id,
-            },
-            origin=lease_mono - queue_wait,
-        )
-        trace.add_span("queue.wait", 0.0, queue_wait)
         result = None
         try:
             job = self.queue.compile_job(record)
@@ -422,22 +449,28 @@ class ServiceServer(AsyncServerCore):
                     "message": str(exc),
                 },
             }
-        if result is not None:
-            # Service engines are always serial (workers=1), so the
-            # engine recorded raw perf-counter spans; shift them onto
-            # the job timeline.
-            rebase_spans(
-                result.stats.get("spans") or (),
-                trace,
-                trace.root,
-                trace.offset_of(0.0),
-            )
+        result_record["trace"] = _trace_doc(
+            record["id"], job_doc.get("benchmark"), backend, worker_id,
+            lease_mono - queue_wait, queue_wait, result,
+        )
+        self._meter(
+            backend, record.get("tenant"), result, result_record, queue_wait
+        )
+        self.queue.complete(record["id"], result_record)
+
+    def _meter(
+        self,
+        backend: str,
+        tenant: str | None,
+        result: JobResult | None,
+        result_record: dict[str, Any],
+        queue_wait: float,
+    ) -> None:
+        """Count one finished job in ``/metrics`` (either path)."""
         status = result_record.get("status", "error")
         self._m_jobs_completed.inc(backend=backend, status=status)
-        if record.get("tenant"):
-            self._m_tenant_jobs_completed.inc(
-                tenant=record["tenant"], status=status
-            )
+        if tenant:
+            self._m_tenant_jobs_completed.inc(tenant=tenant, status=status)
         attempts = result_record.get("attempts", 1)
         if attempts > 1:
             self._m_job_retries.inc(attempts - 1, backend=backend)
@@ -449,8 +482,6 @@ class ServiceServer(AsyncServerCore):
                 self._m_pass_duration.observe(
                     float(duration), **{"pass": name}
                 )
-        result_record["trace"] = trace.to_doc(job=record["id"])
-        self.queue.complete(record["id"], result_record)
 
     def _maintenance_loop(self) -> None:
         interval = min(max(self.lease_seconds / 4.0, 0.05), 15.0)
@@ -665,9 +696,37 @@ class ServiceServer(AsyncServerCore):
         priority: int,
         ctx: AuthContext,
     ) -> dict[str, Any]:
+        """Queue an admitted manifest, answering its plain cache hits.
+
+        Each job the local cache tiers hold (a plain hit, see
+        :meth:`CompilationEngine.cached_result`) finishes here, with a
+        zero queue wait, and rides in the submission's fsynced submit
+        line; only the rest reach the workers.  The hits are counted in
+        ``/metrics`` once that line is durable.
+        """
+        answered: list[tuple[str, JobResult, dict[str, Any]]] = []
+
+        def answer(
+            job_id: str, index: int, job: CompileJob, key: str
+        ) -> dict[str, Any] | None:
+            start = time.perf_counter()
+            result = self._front.cached_result(job, key, index)
+            if result is None:
+                return None
+            backend = job.backend or job.scenario
+            result_record = job_record(result, index)
+            result_record["trace"] = _trace_doc(
+                job_id, job.benchmark, backend, "submit", start, 0.0, result
+            )
+            answered.append((backend, result, result_record))
+            return result_record
+
         submission = self.queue.submit(
-            manifest_doc, priority=priority, tenant=ctx.name
+            manifest_doc, priority=priority, tenant=ctx.name,
+            jobs=jobs, answer=answer,
         )
+        for backend, result, result_record in answered:
+            self._meter(backend, ctx.name, result, result_record, 0.0)
         self._m_submissions.inc()
         self._m_jobs_submitted.inc(submission["total_jobs"])
         if ctx.name is not None and not ctx.fleet:

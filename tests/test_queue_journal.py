@@ -279,17 +279,30 @@ class FaultyQueue(JobQueue):
             raise Killed
 
 
-def run_schedule(queue, seed, records, acked, sent):
+def answer_with(records, indices):
+    """A submit-time ``answer`` finishing the jobs at ``indices`` with
+    their batch records (the daemon's plain cache hits)."""
+    def answer(job_id, index, job, key):
+        return records[index] if index in indices else None
+
+    return answer
+
+
+def run_schedule(queue, seed, records, acked, sent, answered=()):
     """A seeded mix of every queue operation; records what clients saw.
 
     ``acked`` collects submission ids whose submit returned; ``sent``
-    maps job ids to the records a result stream has read.
+    maps job ids to the records a result stream has read.  Every
+    submission finishes the jobs at ``answered`` at submit.
     """
     rng = random.Random(seed)
     abandoned = set()
     for _ in range(3):
         acked.append(
-            queue.submit(MANIFEST, priority=rng.randrange(2))["id"]
+            queue.submit(
+                MANIFEST, priority=rng.randrange(2),
+                answer=answer_with(records, answered),
+            )["id"]
         )
     for step in range(24):
         leased = queue.lease(f"w{step}", lease_seconds=rng.choice([0, 60]))
@@ -326,24 +339,54 @@ def check_recovered(directory, records, doc, acked, sent):
         finished = queue.completed_records(sub_id)
         ids = [record["id"] for record in finished]
         assert sorted(ids) == queue.submission(sub_id)["job_ids"]
+        seqs = [record["completed_seq"] for record in finished]
+        assert seqs == sorted(set(seqs))
         assert all(record["status"] == "done" for record in finished)
         assert docs_equal_modulo_timing(service_doc(queue, sub_id), doc)
     for job_id, record in sent.items():
         assert queue.get(job_id)["record"] == record
+    return queue
 
 
 @pytest.mark.parametrize("power_loss", [False, True], ids=["crash", "power"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_kill_at_every_append(tmp_path, batch, seed, power_loss):
+    kill_everywhere(tmp_path, batch, seed, power_loss)
+
+
+@pytest.mark.parametrize("power_loss", [False, True], ids=["crash", "power"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kill_at_every_append_with_answered_submits(
+    tmp_path, batch, seed, power_loss
+):
+    """Submit lines carrying finished records survive the same faults;
+    every acked submission's answered records replay first, once."""
+    answered = (1, 3)
+    for queue, acked in kill_everywhere(
+        tmp_path, batch, seed, power_loss, answered
+    ):
+        for sub_id in acked:
+            first = [
+                record["index"]
+                for record in queue.completed_records(sub_id)[:2]
+            ]
+            assert first == list(answered)
+
+
+def kill_everywhere(tmp_path, batch, seed, power_loss, answered=()):
+    """Kill a schedule at every journal I/O call, before, during and
+    after it; recover and check each.  Returns each recovered queue
+    with the submissions acked before its kill."""
     records, doc = batch
     clean = FaultyQueue(str(tmp_path / "clean"), 0, None, {})
-    run_schedule(clean, seed, records, [], {})
+    run_schedule(clean, seed, records, [], {}, answered)
     # Every kind of append occurs in the schedule, so each is killed
     # before, during and after.
     assert set(clean.kinds) == {
         "submit", "lease", "renew", "release", "requeue", "complete",
         "fsync",
     }
+    outcomes = []
     for kill_at in range(1, clean.calls + 1):
         for mode in ("before", "mid", "after"):
             directory = str(tmp_path / f"{kill_at}-{mode}")
@@ -351,7 +394,7 @@ def test_kill_at_every_append(tmp_path, batch, seed, power_loss):
             acked, sent = [], {}
             queue = FaultyQueue(directory, kill_at, mode, durable)
             with pytest.raises(Killed):
-                run_schedule(queue, seed, records, acked, sent)
+                run_schedule(queue, seed, records, acked, sent, answered)
             # What a stream could still read at the instant of death.
             for sub_id in acked:
                 for record in queue.completed_records(sub_id):
@@ -362,4 +405,82 @@ def test_kill_at_every_append(tmp_path, batch, seed, power_loss):
                 for name in os.listdir(journal_dir):
                     path = os.path.join(journal_dir, name)
                     os.truncate(path, durable.get(path, 0))
-            check_recovered(directory, records, doc, acked, sent)
+            outcomes.append(
+                (check_recovered(directory, records, doc, acked, sent),
+                 acked)
+            )
+    return outcomes
+
+
+class TestAnsweredSubmit:
+    """A submit line may carry finished records (submit-time hits)."""
+
+    @pytest.mark.parametrize("power_loss", [False, True],
+                             ids=["crash", "power"])
+    @pytest.mark.parametrize("mode", ["before", "mid"])
+    def test_kill_before_the_submit_fsync_leaves_nothing(
+        self, tmp_path, batch, mode, power_loss
+    ):
+        records, _ = batch
+        directory = str(tmp_path / "queue")
+        durable = {}
+        queue = FaultyQueue(directory, 1, mode, durable)
+        with pytest.raises(Killed):
+            queue.submit(MANIFEST, answer=answer_with(records, {0, 1, 3}))
+        # Nothing was acked, and a stream sees nothing.
+        assert queue.submission_ids() == []
+        assert queue.completed_records("s000001") == []
+        queue.close()
+        journal = os.path.join(directory, "journal")
+        if power_loss:
+            for name in os.listdir(journal):
+                path = os.path.join(journal, name)
+                os.truncate(path, durable.get(path, 0))
+        reopened = JobQueue(directory)
+        assert reopened.submission_ids() == []
+        assert os.listdir(journal) == []
+        assert reopened.counts() == dict.fromkeys(
+            ("queued", "running", "done", "error"), 0
+        )
+        assert reopened.submit(MANIFEST)["id"] == "s000001"
+
+    def test_hits_replay_once_in_order_and_misses_still_append(
+        self, tmp_path, batch
+    ):
+        records, doc = batch
+        queue = JobQueue(str(tmp_path / "queue"))
+        before = queue.submit(MANIFEST)["id"]
+        drain(queue, records)
+        sub_id = queue.submit(
+            MANIFEST, answer=answer_with(records, {1, 3})
+        )["id"]
+        hits = queue.completed_records(sub_id)
+        assert [record["index"] for record in hits] == [1, 3]
+        assert [r["first_leased_at"] for r in hits] == [
+            r["enqueued_at"] for r in hits
+        ]
+        assert queue.counts(sub_id) == {
+            "queued": 2, "running": 0, "done": 2, "error": 0,
+        }
+        # Only the misses are leased; their completions append.
+        assert sorted(drain(queue, records)) == [
+            f"{sub_id}-00000", f"{sub_id}-00002",
+        ]
+        live = queue.completed_records(sub_id)
+        queue.close()
+        reopened = JobQueue(queue.directory)
+        replayed = reopened.completed_records(sub_id)
+        assert replayed == live
+        assert [record["index"] for record in replayed[:2]] == [1, 3]
+        seqs = [record["completed_seq"] for record in replayed]
+        assert seqs == sorted(set(seqs))
+        assert min(seqs) > max(
+            r["completed_seq"] for r in reopened.completed_records(before)
+        )
+        assert docs_equal_modulo_timing(service_doc(reopened, sub_id), doc)
+        # The completion counter resumes past the replayed seqs.
+        third = reopened.submit(
+            MANIFEST, answer=answer_with(records, {0})
+        )["id"]
+        [hit] = reopened.completed_records(third)
+        assert hit["completed_seq"] == max(seqs) + 1
