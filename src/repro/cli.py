@@ -764,7 +764,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             retries=args.retries,
             backoff=args.backoff,
-            lease_seconds=args.lease,
             completed_ttl=args.completed_ttl,
             announce=args.announce,
             metrics_address=args.metrics,
@@ -1384,14 +1383,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.1,
         help="base seconds between attempts, doubling per retry "
         "(default 0.1)",
-    )
-    p_serve.add_argument(
-        "--lease",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="worker lease duration; expired leases requeue the job "
-        "(default 300)",
     )
     p_serve.add_argument(
         "--completed-ttl",

@@ -52,11 +52,6 @@ from .jobs import (
     job_to_doc,
     resolve_backend,
 )
-from .passmemo import (
-    PASS_MEMO_SCHEMA_VERSION,
-    PassMemo,
-    pass_chain_keys,
-)
 from .manifest import (
     ManifestError,
     load_manifest,
@@ -97,8 +92,6 @@ __all__ = [
     "ManifestError",
     "MemoryCache",
     "NullCache",
-    "PASS_MEMO_SCHEMA_VERSION",
-    "PassMemo",
     "ProgramCache",
     "ProgressEvent",
     "PruneReport",
@@ -124,7 +117,6 @@ __all__ = [
     "manifest_cache_spec",
     "manifest_digest",
     "merge_result_docs",
-    "pass_chain_keys",
     "parse_cache_spec",
     "parse_manifest",
     "read_manifest",

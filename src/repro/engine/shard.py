@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, TypeVar
 
 from .engine import JobResult
+from .jobs import CompileJob
 
 #: Schema identity of the batch-results document (shared by the
 #: ``repro batch`` / ``repro merge`` CLIs and the test-suite).
@@ -158,6 +159,23 @@ def job_record(result: JobResult, index: int) -> dict[str, Any]:
             "message": result.error.message,
         }
     return record
+
+
+def error_record(
+    job: CompileJob, index: int, key: str, error_type: str, message: str
+) -> dict[str, Any]:
+    """The record of a job that failed outside the engine, with no
+    :class:`JobResult` (a daemon worker fault or a lost worker); its
+    identity fields are :func:`job_record`'s."""
+    return {
+        "index": index,
+        "status": "error",
+        **job.identity(),
+        "cache_key": key,
+        "cache_hit": False,
+        "compile_time_s": 0.0,
+        "error": {"type": error_type, "message": message},
+    }
 
 
 def results_doc(
@@ -368,6 +386,7 @@ __all__ = [
     "ShardError",
     "ShardPlan",
     "docs_equal_modulo_timing",
+    "error_record",
     "job_record",
     "merge_result_docs",
     "results_doc",

@@ -15,7 +15,7 @@ shared across compilations, threads and backends.
 from __future__ import annotations
 
 import time
-from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 from .context import CompileContext
 
@@ -75,9 +75,7 @@ class Pipeline:
         """The pass names, in execution order."""
         return tuple(p.name for p in self._passes)
 
-    def run(
-        self, ctx: CompileContext, memo: Any | None = None
-    ) -> CompileContext:
+    def run(self, ctx: CompileContext) -> CompileContext:
         """Execute every pass in order, recording per-pass timings.
 
         Timings land in ``ctx.pass_timings`` (name -> seconds, in
@@ -85,30 +83,13 @@ class Pipeline:
         facades keep their historical error contracts (e.g. the
         ``ValueError`` on a missing storage zone).
 
-        ``memo`` (see :class:`repro.engine.passmemo.PassMemo`) enables
-        pass-level memoization: ``memo.restore(ctx)`` may rebuild the
-        context from a cached snapshot and return the index of the
-        first pass that still must run (restored passes keep a 0.0
-        timing entry so the key set stays complete), and
-        ``memo.record(ctx, i)`` snapshots the context after each
-        executed pass.
-
-        Alongside the duration map, each *executed* pass records a
+        Alongside the duration map, each pass records a
         ``(name, start_s, end_s)`` offset pair (relative to this call)
         in ``ctx.pass_spans`` -- the bridge that turns pass timings
         into the per-pass child spans of a job trace.
         """
         run_start = time.perf_counter()
-        start_index = 0
-        if memo is not None:
-            start_index = memo.restore(ctx)
-        # A restored snapshot carries the *recording* run's span list
-        # (or, for snapshots written before spans existed, none at
-        # all): only this run's own measurements belong on the trace.
-        ctx.pass_spans = []
-        for index, p in enumerate(self._passes):
-            if index < start_index:
-                continue
+        for p in self._passes:
             start = time.perf_counter()
             result = p.run(ctx)
             if result is not None:
@@ -118,8 +99,6 @@ class Pipeline:
             ctx.pass_spans.append(
                 (p.name, start - run_start, end - run_start)
             )
-            if memo is not None:
-                memo.record(ctx, index)
         return ctx
 
     def __repr__(self) -> str:

@@ -90,11 +90,9 @@ class CompileContext:
     # Bookkeeping.
     counters: dict[str, Any] = field(default_factory=dict)
     pass_timings: dict[str, float] = field(default_factory=dict)
-    # (name, start_s, end_s) offsets relative to the pipeline run start
-    # for every pass that actually executed (memo-restored passes are
-    # absent here, unlike their 0.0 pass_timings entries).  Feeds the
-    # per-pass child spans of job traces; volatile, never part of any
-    # content key.
+    # (name, start_s, end_s) offsets relative to the pipeline run start,
+    # one per pass.  Feeds the per-pass child spans of job traces;
+    # volatile, never part of any content key.
     pass_spans: list = field(default_factory=list)
 
     # Final product.

@@ -165,7 +165,6 @@ class PipelineCompiler:
         circuit,
         architecture=None,
         initial_layout=None,
-        pass_cache=None,
         arch=None,
         strategies=None,
     ):
@@ -180,16 +179,7 @@ class PipelineCompiler:
         machine from (ignored when an explicit ``architecture`` is
         supplied); ``strategies`` maps strategy axes to registry entry
         names, merged over the backend's own forced entries.  Both are
-        validated up front and enter the pass-memo content keys.
-
-        ``pass_cache`` (any :class:`~repro.engine.cache.ProgramCache`)
-        enables pass-level memoization: each pass's output is
-        snapshotted under a chained content key, so a re-run -- or a run
-        differing only in a downstream pass -- restores the cached
-        prefix instead of recompiling it.  Hit/miss/store counters land
-        in ``stats["pass_cache"]``.  An explicit ``architecture`` or
-        ``initial_layout`` is not part of the content key, so
-        memoization is skipped for such calls.
+        validated up front.
         """
         from ..core.compiler import CompilationResult
 
@@ -209,16 +199,7 @@ class PipelineCompiler:
             architecture=architecture,
             initial_layout=initial_layout,
         )
-        memo = None
-        if (
-            pass_cache is not None
-            and architecture is None
-            and initial_layout is None
-        ):
-            from ..engine.passmemo import PassMemo
-
-            memo = PassMemo(pass_cache, self.spec.pipeline, ctx)
-        ctx = self.spec.pipeline.run(ctx, memo=memo)
+        ctx = self.spec.pipeline.run(ctx)
         compile_time = time.perf_counter() - start
         stats = dict(ctx.program.metadata)
         stats["pass_timings"] = dict(ctx.pass_timings)
@@ -226,8 +207,6 @@ class PipelineCompiler:
             (name, start_s, end_s)
             for name, start_s, end_s in ctx.pass_spans
         ]
-        if memo is not None:
-            stats["pass_cache"] = memo.stats_doc()
         return CompilationResult(
             program=ctx.program,
             compile_time=compile_time,

@@ -60,12 +60,6 @@ from .tenancy import (
 #: stream writing its final ``end`` event) after the listener closes.
 SHUTDOWN_GRACE_S = 10.0
 
-#: Idle-poll bounds for a followed result stream: the fallback timeout
-#: starts snappy, doubles while nothing completes, and is capped so a
-#: missed notification never stalls the stream for long.
-RESULTS_POLL_MIN_S = 0.05
-RESULTS_POLL_MAX_S = 2.0
-
 #: Request fields that name a submission or a job; a non-string value
 #: is answered with ``bad_request`` before any handler looks it up.
 ID_FIELDS = ("submission", "job")
@@ -76,17 +70,6 @@ Send = Callable[[dict[str, Any]], Awaitable[None]]
 #: An op handler: ``handler(request, ctx)`` returns the reply (``ctx``
 #: is ``None`` for ``ping``, which runs before authentication).
 Handler = Callable[[dict[str, Any], AuthContext | None], dict[str, Any]]
-
-
-def _next_idle_timeout(current: float) -> float:
-    """The idle-poll back-off ladder of a followed result stream.
-
-    Changes wake the stream immediately through a feed listener; this
-    timeout only bounds *missed* notifications, so it doubles from
-    :data:`RESULTS_POLL_MIN_S` up to :data:`RESULTS_POLL_MAX_S` while
-    the stream sits idle (progress resets it to the minimum).
-    """
-    return min(current * 2.0, RESULTS_POLL_MAX_S)
 
 
 class ChangeFeed:
@@ -173,8 +156,9 @@ class ResultsView:
 
     ``finished(offset)`` returns the ``(job_id, record)`` pairs that
     finished after the first ``offset``, in completion order, and
-    ``finished_count()`` their number; ``feed`` is notified whenever
-    either may change.
+    ``finished_count()`` their number; ``feed`` must be notified
+    whenever either changes, since a followed stream waits on it with
+    no timeout.
     """
 
     manifest_digest: str
@@ -597,8 +581,9 @@ class AsyncServerCore:
         finished; without, it ends after the records finished so far.
         While following, a feed listener wakes this coroutine through
         ``call_soon_threadsafe`` on every change, so records flow the
-        moment they exist; the idle timeout only bounds missed
-        notifications (:func:`_next_idle_timeout`).
+        moment they exist.  The listener is registered before the first
+        scan and the wait has no timeout: every change the view reads,
+        and the stop flag (through ``poke``), notifies the feed.
         """
         sub_id = request.get("submission")
         view = None if sub_id is None else self.results_view(sub_id, ctx)
@@ -620,7 +605,6 @@ class AsyncServerCore:
         )
         sent = 0
         failed = 0
-        idle_timeout = RESULTS_POLL_MIN_S
         loop = asyncio.get_running_loop()
         changed = asyncio.Event()
 
@@ -634,8 +618,6 @@ class AsyncServerCore:
                 # check, so records finishing during the wait below
                 # are never dropped by a shutdown.
                 batch = view.finished(sent)
-                if batch:
-                    idle_timeout = RESULTS_POLL_MIN_S  # progress
                 for job_id, record in batch:
                     if record.get("status") == "error":
                         failed += 1
@@ -656,20 +638,14 @@ class AsyncServerCore:
                 ):
                     break  # going down with work left: end honestly
                 changed.clear()
-                # Re-check after clearing: a completion between the
-                # scan above and the clear would otherwise be missed
-                # until the idle timeout.
+                # Re-check after clearing: a change between the scan
+                # above and the clear set the event before the clear.
                 if (
                     view.finished_count() > sent
                     or self._stopping.is_set()
                 ):
                     continue
-                try:
-                    await asyncio.wait_for(
-                        changed.wait(), timeout=idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    idle_timeout = _next_idle_timeout(idle_timeout)
+                await changed.wait()
         finally:
             view.feed.remove_listener(wake)
         await send(
@@ -688,8 +664,6 @@ class AsyncServerCore:
 __all__ = [
     "AsyncServerCore",
     "ChangeFeed",
-    "RESULTS_POLL_MAX_S",
-    "RESULTS_POLL_MIN_S",
     "ResultsView",
     "SHUTDOWN_GRACE_S",
 ]

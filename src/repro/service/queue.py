@@ -19,18 +19,18 @@ indexes it like any other finished record.  Every later state change
 of one of its jobs appends one line::
 
     {"op": "submit", "submission": {...}, "jobs": [{<record>}, ...]}
-    {"op": "lease", "id": ..., "worker": ..., "expires_at": ...,
-     "leased_at": ...}
-    {"op": "renew", "id": ..., "expires_at": ...}
-    {"op": "release", "id": ...}
+    {"op": "lease", "id": ..., "worker": ..., "leased_at": ...}
     {"op": "requeue", "id": ..., "requeues": 2}
     {"op": "complete", "id": ..., "status": "done" | "error",
      "completed_seq": 5, "completed_at": ..., "record": {...},
      "requeues": 2}
 
-Lease, renew, release and requeue lines are not fsynced: the daemon
+Replay also accepts the ``renew`` and ``release`` lines and the
+``expires_at`` lease field of earlier daemons: a renew changes
+nothing, a release returns its job to ``queued`` like a requeue that
+keeps the count.  Lease and requeue lines are not fsynced: the daemon
 that owned them is gone after a crash, and :meth:`JobQueue.recover`
-returns every job it left running to ``queued`` anyway.  A completion
+requeues every job it left running anyway.  A completion
 line is appended under the queue lock and fsynced outside it; only
 then does the record become visible to result streams
 (:meth:`JobQueue.completed_records`) and are waiters notified, so a
@@ -53,7 +53,7 @@ job plus its scheduling state::
      "status": "queued" | "running" | "done" | "error",
      "cache_key": <64-hex job_cache_key>,
      "job": {<job_to_doc>},
-     "lease": {"worker": ..., "expires_at": ...} | null,
+     "lease": {"worker": ...} | null,
      "requeues": 0,
      "enqueued_at": <unix seconds>, "first_leased_at": <...> | null,
      "completed_seq": 5 | null,
@@ -93,13 +93,16 @@ heap per tenant keyed ``(-priority, seq, index)``.  Grants are constant
 within a tenant, so comparing the tenants' heap heads by ``(-priority,
 grants, seq, index)`` picks the job a scan over every record would.  A
 head whose cache key is running is parked beside its twin and returns
-to its heap when the twin completes, is released or is requeued.
+to its heap when the twin completes or is requeued.
 
-Leases expire: the daemon heartbeats (:meth:`renew`) every job its
-live worker threads are executing, so only a worker that stops
-heartbeating (crashed thread, SIGKILLed daemon) loses its job to
-:meth:`requeue_expired` -- bounded by ``max_requeues`` so a job that
-kills its worker cannot cycle forever.
+**One owner.**  One process owns a queue directory: it replays the
+journals once at open and never reads another process's writes.  A
+job is ``running`` exactly while one of that process's workers holds
+it, so leases carry no clock.  A worker that fails outside the engine
+hands its job back through :meth:`JobQueue.requeue`, and at start-up
+:meth:`JobQueue.recover` requeues every job a dead process left
+running.  Both are bounded by ``max_requeues``, so a job that keeps
+breaking its worker ends as one ``WorkerLostError`` record.
 """
 
 from __future__ import annotations
@@ -118,6 +121,7 @@ from ..engine.manifest import (
     manifest_digest,
     parse_manifest,
 )
+from ..engine.shard import error_record
 from .aio import ChangeFeed
 
 #: Schema identity of queue documents.
@@ -133,8 +137,9 @@ _FINISHED = ("done", "error")
 #: Journal handles a queue keeps open between appends.
 OPEN_JOURNALS = 64
 
-#: Crash-requeue bound: a job whose worker dies mid-run re-enters the
-#: queue at most this many times before it is recorded as an error.
+#: Requeue bound: a job whose worker fails (or whose daemon dies)
+#: mid-run re-enters the queue at most this many times before it is
+#: recorded as an error.
 DEFAULT_MAX_REQUEUES = 3
 
 
@@ -169,15 +174,11 @@ def _apply(record: dict[str, Any], event: dict[str, Any]) -> None:
     op = event["op"]
     if op == "lease":
         record["status"] = "running"
-        record["lease"] = {
-            "worker": event["worker"],
-            "expires_at": event["expires_at"],
-        }
+        record["lease"] = {"worker": event["worker"]}
         if record.get("first_leased_at") is None:
             record["first_leased_at"] = event["leased_at"]
     elif op == "renew":
-        if record["lease"] is not None:
-            record["lease"]["expires_at"] = event["expires_at"]
+        pass  # written by earlier daemons; leases carry no clock now
     elif op in ("release", "requeue"):
         record["status"] = "queued"
         record["lease"] = None
@@ -221,7 +222,7 @@ class JobQueue(ChangeFeed):
 
     Args:
         directory: Queue root (created on first use).
-        max_requeues: Crash-requeue bound per job.
+        max_requeues: Requeue bound per job.
     """
 
     def __init__(
@@ -644,7 +645,6 @@ class JobQueue(ChangeFeed):
     def lease(
         self,
         worker: str,
-        lease_seconds: float = 300.0,
         running_caps: dict[str, int] | None = None,
     ) -> dict[str, Any] | None:
         """Claim the next runnable job for ``worker``; ``None`` if idle.
@@ -682,11 +682,10 @@ class JobQueue(ChangeFeed):
                 return None
             _, tenant, job_id = best
             record = self._records[job_id]
-            now = time.time()
             self._commit(
                 record,
                 {"op": "lease", "id": job_id, "worker": worker,
-                 "expires_at": now + lease_seconds, "leased_at": now},
+                 "leased_at": time.time()},
             )
             heapq.heappop(self._runnable[tenant])
             grants[tenant] = grants.get(tenant, 0) + 1
@@ -702,8 +701,7 @@ class JobQueue(ChangeFeed):
 
         ``result_record`` is a :func:`repro.engine.shard.job_record`
         dict; its ``status`` (``"ok"``/``"error"``) decides the queue
-        state.  Completing an already-completed job is a no-op (a
-        requeued twin may have finished first after a lease expiry); the
+        state.  Completing an already-completed job is a no-op; the
         first completion wins.
 
         The completion line is appended under the lock and fsynced
@@ -763,47 +761,54 @@ class JobQueue(ChangeFeed):
             event["requeues"] = requeues
         self._commit(record, event, sync=sync)
 
-    def renew(self, job_id: str, lease_seconds: float = 300.0) -> bool:
-        """Extend a running job's lease (the worker heartbeat).
+    def requeue(self, job_id: str) -> bool:
+        """Return a running job to the queue (its worker failed).
 
-        The daemon renews the lease of every job its worker threads
-        are actively executing, so a healthy compile can outlive the
-        lease duration arbitrarily; only a worker that stops
-        heartbeating -- dead thread, dead process -- lets the lease
-        expire.  Returns False when the job is not currently leased.
+        The requeue is bounded: past ``max_requeues`` the job is
+        completed with a ``WorkerLostError`` record instead, so a job
+        that keeps breaking its worker cannot cycle forever.  Returns
+        False when the job is not running.
         """
-        with self.changed:
-            record = self._records.get(job_id)
-            if (
-                record is None
-                or record["status"] != "running"
-                or record["lease"] is None
-            ):
-                return False
-            self._commit(
-                record,
-                {"op": "renew", "id": job_id,
-                 "expires_at": time.time() + lease_seconds},
-            )
-            return True
-
-    def release(self, job_id: str) -> None:
-        """Return a leased job to the queue unfinished (worker shutdown)."""
         with self.changed:
             record = self._records.get(job_id)
             if record is None or record["status"] != "running":
-                return
-            self._commit(record, {"op": "release", "id": job_id})
+                return False
+            self._requeue(record)
             self._notify_all()
+            return True
 
-    def requeue_expired(self, now: float | None = None) -> list[str]:
-        """Return expired-lease jobs to the queue; list of affected ids.
+    def _requeue(self, record: dict[str, Any]) -> None:
+        requeues = record["requeues"] + 1
+        if requeues <= self.max_requeues:
+            self._commit(
+                record,
+                {"op": "requeue", "id": record["id"], "requeues": requeues},
+            )
+            return
+        self._finish(
+            record,
+            "error",
+            error_record(
+                job_from_doc(record["job"]),
+                record["index"],
+                record["cache_key"],
+                "WorkerLostError",
+                f"job lost its worker {requeues} times; giving up "
+                "(the job may be crashing its worker)",
+            ),
+            requeues=requeues,
+            sync=True,
+        )
+        sub_id = record["submission"]
+        self._visible[sub_id] = len(self._finished[sub_id])
 
-        Jobs past ``max_requeues`` are completed as errors instead of
-        cycling forever.
+    def recover(self) -> list[str]:
+        """Startup pass: requeue every job a dead daemon left running.
+
+        Nothing else writes this directory, so every ``running`` record
+        is an orphan.  Each gets the bounded :meth:`requeue`.  Returns
+        the affected ids, oldest submission first.
         """
-        now = time.time() if now is None else now
-        touched = []
         with self.changed:
             running = sorted(
                 (self._records[job_id] for job_id in
@@ -811,57 +816,10 @@ class JobQueue(ChangeFeed):
                 key=lambda record: (record["seq"], record["index"]),
             )
             for record in running:
-                lease = record.get("lease")
-                if lease is not None and lease["expires_at"] > now:
-                    continue
-                requeues = record["requeues"] + 1
-                touched.append(record["id"])
-                if requeues > self.max_requeues:
-                    self._finish(
-                        record, "error", self._worker_lost(record, requeues),
-                        requeues=requeues, sync=True,
-                    )
-                    sub_id = record["submission"]
-                    self._visible[sub_id] = len(self._finished[sub_id])
-                    continue
-                self._commit(
-                    record,
-                    {"op": "requeue", "id": record["id"],
-                     "requeues": requeues},
-                )
-            if touched:
+                self._requeue(record)
+            if running:
                 self._notify_all()
-        return touched
-
-    @staticmethod
-    def _worker_lost(
-        record: dict[str, Any], requeues: int
-    ) -> dict[str, Any]:
-        """The error record of a job that exhausted its requeue budget."""
-        job = job_from_doc(record["job"])
-        return {
-            "index": record["index"],
-            "status": "error",
-            **job.identity(),
-            "cache_key": record["cache_key"],
-            "cache_hit": False,
-            "compile_time_s": 0.0,
-            "error": {
-                "type": "WorkerLostError",
-                "message": (
-                    f"worker lease expired {requeues} times; "
-                    "giving up (the job may be crashing its worker)"
-                ),
-            },
-        }
-
-    def recover(self) -> list[str]:
-        """Startup pass: requeue every job a dead daemon left running.
-
-        The daemon that owned this queue is gone, so *any* lease --
-        expired or not -- is orphaned.
-        """
-        return self.requeue_expired(now=float("inf"))
+        return [record["id"] for record in running]
 
     # -- inspection ----------------------------------------------------
 

@@ -26,9 +26,13 @@ A :class:`ServiceServer` ties together the three service halves:
   ``submit`` answers it from the local cache tiers and the job is
   finished inside the submission's fsynced submit line.
 
-A maintenance thread requeues expired leases, so a job whose worker
-thread died (or whose previous daemon was SIGKILLed mid-compile)
-re-runs instead of hanging its submission forever.
+The daemon is the only process on its queue directory, so a job is
+running exactly while one of its workers holds it.  A worker whose
+``_execute`` raises logs the error, requeues the job (bounded by the
+queue's ``max_requeues``) and keeps serving; at start-up
+:meth:`JobQueue.recover` requeues whatever a killed daemon left
+running.  A maintenance thread runs the completed-submission GC, the
+write-back cache flush and the tenants-file reload.
 
 With ``announce`` the daemon periodically registers itself with a
 fleet coordinator (:mod:`repro.service.coordinator`), so a fleet can
@@ -43,14 +47,14 @@ workers finish every queued job, then shuts the daemon down.  The
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
+import traceback
 from typing import Any
 
 from ..engine.cache import DiskCache, MemoryCache, ProgramCache
 from ..engine.cachestore import cache_stats_registry, make_cache
 from ..engine.engine import CompilationEngine, JobResult
-from ..engine.shard import job_record
+from ..engine.shard import error_record, job_record
 from ..obs.metrics import (
     MetricsRegistry,
     MetricsServer,
@@ -71,6 +75,11 @@ from .tenancy import AuthContext, TenantRegistry, admit_submit
 #: Re-announce period of ``--announce`` self-registration; frequent
 #: enough that a restarted coordinator re-learns its fleet quickly.
 ANNOUNCE_INTERVAL_S = 5.0
+
+#: Maintenance sweep period (GC, write-back flush, tenants reload).
+#: A ``completed_ttl`` below twice this shortens it to
+#: ``completed_ttl / 2`` seconds, but never below 0.05 s.
+MAINTENANCE_INTERVAL_S = 15.0
 
 
 def _parse_metrics_listen(spec: str) -> tuple[str, int]:
@@ -142,8 +151,6 @@ class ServiceServer(AsyncServerCore):
         retries: Per-job extra compilation attempts
             (:class:`CompilationEngine` retry-with-backoff).
         backoff: Base backoff seconds between attempts.
-        lease_seconds: Worker lease duration; an expired lease returns
-            the job to the queue.
         completed_ttl: When set, the maintenance loop drops finished
             submissions older than this many seconds
             (:meth:`JobQueue.gc_completed`); live or leased jobs are
@@ -180,7 +187,6 @@ class ServiceServer(AsyncServerCore):
         workers: int = 2,
         retries: int = 1,
         backoff: float = 0.1,
-        lease_seconds: float = 300.0,
         completed_ttl: float | None = None,
         announce: str | None = None,
         metrics_address: str | None = None,
@@ -211,7 +217,6 @@ class ServiceServer(AsyncServerCore):
         self.workers = workers
         self.retries = retries
         self.backoff = backoff
-        self.lease_seconds = lease_seconds
         self.completed_ttl = completed_ttl
         self.announce = announce
         self.metrics_address = metrics_address
@@ -275,11 +280,6 @@ class ServiceServer(AsyncServerCore):
             "synced at scrape time.",
             ("tenant", "quota"),
         )
-        # Jobs currently executing on this daemon's worker threads
-        # (worker id -> job id); the maintenance thread heartbeats
-        # their leases so healthy long compiles never expire.
-        self._active_lock = threading.Lock()
-        self._active_jobs: dict[str, str] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -363,23 +363,24 @@ class ServiceServer(AsyncServerCore):
         try:
             while not self._stopping.is_set():
                 record = self.queue.lease(
-                    worker_id,
-                    lease_seconds=self.lease_seconds,
-                    running_caps=self._running_caps(),
+                    worker_id, running_caps=self._running_caps()
                 )
                 if record is None:
+                    # The timeout covers a tenants reload, which changes
+                    # the running caps without any queue change.
                     with self.queue.changed:
                         if self._stopping.is_set():
                             return
                         self.queue.changed.wait(timeout=0.2)
                     continue
-                with self._active_lock:
-                    self._active_jobs[worker_id] = record["id"]
                 try:
                     self._execute(engine, record, worker_id)
-                finally:
-                    with self._active_lock:
-                        self._active_jobs.pop(worker_id, None)
+                except Exception:
+                    self._log(
+                        f"{worker_id}: job {record['id']} failed; "
+                        f"requeueing it\n{traceback.format_exc()}"
+                    )
+                    self.queue.requeue(record["id"])
         finally:
             # A compile outliving stop()'s bounded join would finish
             # *after* the shutdown flush; pushing this worker's own
@@ -412,7 +413,9 @@ class ServiceServer(AsyncServerCore):
         anchors the rebasing), so offset ``0.0`` starts the queue-wait
         span and the engine's perf-counter spans land after it on one
         timeline.  The finished ``trace-v1`` document rides on the
-        result record (volatile: ``strip_timing`` removes it).
+        result record (volatile: ``strip_timing`` removes it).  An
+        exception escaping here reaches the worker loop, which requeues
+        the job.
         """
         lease_wall = time.time()
         lease_mono = time.perf_counter()
@@ -427,28 +430,15 @@ class ServiceServer(AsyncServerCore):
             else 0.0
         )
         result = None
+        job = self.queue.compile_job(record)
         try:
-            job = self.queue.compile_job(record)
             [result] = engine.run([job])
             result_record = job_record(result, record["index"])
-        except Exception as exc:  # defensive: keep the worker alive
-            result_record = {
-                "index": record["index"],
-                "status": "error",
-                "benchmark": record["job"].get("benchmark"),
-                "scenario": record["job"].get(
-                    "scenario", record["job"].get("backend")
-                ),
-                "seed": record["job"].get("seed", 0),
-                "num_aods": record["job"].get("num_aods", 1),
-                "cache_key": record["cache_key"],
-                "cache_hit": False,
-                "compile_time_s": 0.0,
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                },
-            }
+        except Exception as exc:  # the job's fault: record it, no requeue
+            result_record = error_record(
+                job, record["index"], record["cache_key"],
+                type(exc).__name__, str(exc),
+            )
         result_record["trace"] = _trace_doc(
             record["id"], job_doc.get("benchmark"), backend, worker_id,
             lease_mono - queue_wait, queue_wait, result,
@@ -484,27 +474,11 @@ class ServiceServer(AsyncServerCore):
                 )
 
     def _maintenance_loop(self) -> None:
-        interval = min(max(self.lease_seconds / 4.0, 0.05), 15.0)
+        interval = MAINTENANCE_INTERVAL_S
         if self.completed_ttl is not None:
-            # The sweep cadence bounds the TTL's resolution: a short
-            # TTL must not wait out a long lease-derived interval.
-            interval = min(
-                interval, max(self.completed_ttl / 2.0, 0.05)
-            )
+            # The sweep cadence bounds the TTL's resolution.
+            interval = min(interval, max(self.completed_ttl / 2.0, 0.05))
         while not self._stopping.wait(timeout=interval):
-            # Heartbeat first: a job still executing on a live worker
-            # thread must never lose its lease, no matter how long the
-            # compile runs relative to --lease.
-            with self._active_lock:
-                active = list(self._active_jobs.values())
-            for job_id in active:
-                self.queue.renew(job_id, self.lease_seconds)
-            expired = self.queue.requeue_expired()
-            if expired:
-                self._log(
-                    f"requeued {len(expired)} expired lease(s): "
-                    + ", ".join(expired)
-                )
             if self.completed_ttl is not None:
                 removed = self.queue.gc_completed(self.completed_ttl)
                 if removed:

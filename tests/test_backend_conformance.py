@@ -2,8 +2,9 @@
 
 For each backend in the default registry, compiling a small circuit
 must produce (1) a validator-clean program, (2) a bit-identical digest
-across two independent runs, and (3) populated per-pass timing stats.
-New backends get all three checks for free by registering.
+across two independent runs, and (3) populated per-pass timing stats
+and trace spans.  New backends get these checks for free by
+registering.
 
 The architecture/strategy matrix class crosses the architecture
 catalog with the strategy-variant backends (the CI ``strategy-matrix``
@@ -79,6 +80,19 @@ class TestBackendConformance:
         assert all(seconds >= 0.0 for seconds in timings.values())
         # The pass timings live alongside the historical metadata keys.
         assert "num_stages" in result.stats
+
+    def test_pass_spans_lay_every_pass_in_order(self, name):
+        spec = get_backend(name)
+        stats = _compiler(name).compile(WORKLOAD).stats
+        spans = stats["pass_spans"]
+        assert tuple(span[0] for span in spans) == spec.pipeline.pass_names
+        previous_end = 0.0
+        for pass_name, start, end in spans:
+            assert previous_end <= start <= end
+            assert end - start == pytest.approx(
+                stats["pass_timings"][pass_name], abs=1e-9
+            )
+            previous_end = end
 
     def test_compiler_name_stamped(self, name):
         compiler = _compiler(name)

@@ -2,13 +2,14 @@
 high-water mark, and crash / power-loss fault injection.
 
 The fault suite kills a queue before, in the middle of and after each
-kind of journal append (submit, lease, renew, release, requeue,
-complete) and each completion fsync, at every such call of a seeded
-schedule, reopens the directory,
+kind of journal append (submit, lease, requeue, complete) and each
+completion fsync, at every such call of a seeded schedule, reopens the
+directory,
 runs ``recover()`` and drains what is left.  The power-loss variant also
 cuts every journal back to its last fsynced length.
 """
 
+import json
 import os
 import random
 import sys
@@ -25,6 +26,8 @@ from repro.engine import (
     parse_manifest,
     results_doc,
 )
+from repro.engine.cache import job_cache_key
+from repro.engine.jobs import job_to_doc
 from repro.engine.shard import results_doc_from_records
 from repro.service import JobQueue, QueueError
 
@@ -123,12 +126,9 @@ class TestJournal:
         sub_id = queue.submit(MANIFEST, priority=2, tenant="acme")["id"]
         done = queue.lease("w1")
         queue.complete(done["id"], records[done["index"]])
-        running = queue.lease("w2", lease_seconds=0.0)
-        queue.renew(running["id"], 60.0)
-        released = queue.lease("w3")
-        queue.release(released["id"])
-        expired = queue.lease("w4", lease_seconds=0.0)
-        assert queue.requeue_expired() == [expired["id"]]
+        queue.lease("w2")
+        requeued = queue.lease("w3")
+        assert queue.requeue(requeued["id"])
         live = queue.records_for(sub_id)
         reopened = JobQueue(queue.directory)
         assert reopened.records_for(sub_id) == live
@@ -136,6 +136,91 @@ class TestJournal:
             queue.completed_records(sub_id)
         )
         assert reopened.counts(tenant="acme") == queue.counts(tenant="acme")
+
+    def test_parent_format_journal_replays(self, tmp_path, batch):
+        """A journal an earlier daemon wrote, with ``expires_at`` lease
+        fields and ``renew``/``release`` lines, resumes unchanged."""
+        records, _ = batch
+        directory = tmp_path / "queue"
+        (directory / "journal").mkdir(parents=True)
+        (directory / "queue.json").write_text(json.dumps(
+            {"format": "repro-service-queue", "version": 2,
+             "seq_floor": 0}
+        ))
+        jobs = parse_manifest(MANIFEST)
+        ids = [f"s000001-{index:05d}" for index in range(len(jobs))]
+        submission = {
+            "format": "repro-service-submission", "version": 2,
+            "id": "s000001", "seq": 1, "tenant": None,
+            "manifest_digest": manifest_digest(MANIFEST),
+            "total_jobs": len(jobs), "priority": 0,
+            "submitted_at": 100.0, "job_ids": ids,
+        }
+        submitted = [
+            {
+                "format": "repro-service-job", "version": 2,
+                "id": job_id, "submission": "s000001", "index": index,
+                "tenant": None, "priority": 0, "seq": 1,
+                "status": "queued", "cache_key": job_cache_key(job),
+                "job": job_to_doc(job), "lease": None, "requeues": 0,
+                "enqueued_at": 100.0, "first_leased_at": None,
+                "completed_seq": None, "record": None,
+            }
+            for index, (job_id, job) in enumerate(zip(ids, jobs))
+        ]
+
+        def lease(job_id, worker, at):
+            return {"op": "lease", "id": job_id, "worker": worker,
+                    "expires_at": at + 300.0, "leased_at": at}
+
+        lines = [
+            {"op": "submit", "submission": submission, "jobs": submitted},
+            lease(ids[0], "w1", 101.0),
+            {"op": "renew", "id": ids[0], "expires_at": 500.0},
+            {"op": "complete", "id": ids[0], "status": "done",
+             "completed_seq": 1, "completed_at": 102.0,
+             "record": records[0]},
+            lease(ids[1], "w2", 103.0),
+            {"op": "renew", "id": ids[1], "expires_at": 600.0},
+            lease(ids[3], "w3", 104.0),
+            {"op": "release", "id": ids[3]},
+            lease(ids[2], "w4", 105.0),
+            {"op": "requeue", "id": ids[2], "requeues": 1},
+        ]
+        (directory / "journal" / "s000001.ndjson").write_text(
+            "".join(json.dumps(line) + "\n" for line in lines)
+        )
+        queue = JobQueue(str(directory))
+        got = {record["id"]: record for record in queue.records_for("s000001")}
+        assert [got[job_id]["status"] for job_id in ids] == [
+            "done", "running", "queued", "queued",
+        ]
+        assert got[ids[0]]["record"] == records[0]
+        assert got[ids[0]]["completed_seq"] == 1
+        assert got[ids[1]]["lease"] == {"worker": "w2"}
+        assert [got[job_id]["requeues"] for job_id in ids] == [0, 0, 1, 0]
+        assert [got[job_id]["first_leased_at"] for job_id in ids] == [
+            101.0, 103.0, 105.0, 104.0,
+        ]
+        assert queue.counts() == {
+            "queued": 2, "running": 1, "done": 1, "error": 0,
+        }
+        assert queue.completed_records("s000001") == [got[ids[0]]]
+        # Nothing of the old format is written back: the reopened queue
+        # equals the first.
+        queue.close()
+        reopened = JobQueue(str(directory))
+        assert reopened.records_for("s000001") == list(got.values())
+        assert reopened.counts() == queue.counts()
+        assert reopened.recover() == [ids[1]]
+        assert reopened.get(ids[1])["requeues"] == 1
+        drain(reopened, records)
+        reopened.close()
+        again = JobQueue(str(directory))
+        assert again.counts()["done"] == len(jobs)
+        assert docs_equal_modulo_timing(
+            service_doc(again, "s000001"), batch[1]
+        )
 
     def test_torn_tail_is_cut_and_appends_continue(self, tmp_path, batch):
         records, _ = batch
@@ -296,7 +381,7 @@ def run_schedule(queue, seed, records, acked, sent, answered=()):
     submission finishes the jobs at ``answered`` at submit.
     """
     rng = random.Random(seed)
-    abandoned = set()
+    requeued = set()
     for _ in range(3):
         acked.append(
             queue.submit(
@@ -305,23 +390,16 @@ def run_schedule(queue, seed, records, acked, sent, answered=()):
             )["id"]
         )
     for step in range(24):
-        leased = queue.lease(f"w{step}", lease_seconds=rng.choice([0, 60]))
+        leased = queue.lease(f"w{step}")
         if leased is None:
             break
-        action = rng.choice(["complete", "release", "renew", "abandon"])
-        if action == "abandon" and leased["id"] not in abandoned:
-            # The worker dies; requeue_expired takes an expired lease
-            # back (once per job, inside the requeue bound).
-            abandoned.add(leased["id"])
-            queue.renew(leased["id"], 0.0)
-        elif action == "release":
-            queue.release(leased["id"])
-        elif action == "renew":
-            queue.renew(leased["id"], 60.0)
-            queue.complete(leased["id"], records[leased["index"]])
+        if rng.random() < 0.5 and leased["id"] not in requeued:
+            # The worker fails; the job goes back (once per job, inside
+            # the requeue bound).
+            requeued.add(leased["id"])
+            queue.requeue(leased["id"])
         else:
             queue.complete(leased["id"], records[leased["index"]])
-        queue.requeue_expired()
         for sub_id in acked:
             for record in queue.completed_records(sub_id):
                 sent[record["id"]] = record["record"]
@@ -383,8 +461,7 @@ def kill_everywhere(tmp_path, batch, seed, power_loss, answered=()):
     # Every kind of append occurs in the schedule, so each is killed
     # before, during and after.
     assert set(clean.kinds) == {
-        "submit", "lease", "renew", "release", "requeue", "complete",
-        "fsync",
+        "submit", "lease", "requeue", "complete", "fsync",
     }
     outcomes = []
     for kill_at in range(1, clean.calls + 1):

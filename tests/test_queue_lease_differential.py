@@ -2,8 +2,8 @@
 
 ``ReferenceLease.lease`` is the queue's scan-every-record lease from
 before the runnable heaps, kept verbatim as the oracle.  Random
-schedules of submit, lease, complete, release, ``requeue_expired`` and
-restart + ``recover`` mix priorities, tenants, ``running_caps`` and
+schedules of submit, lease, complete, ``requeue`` and restart +
+``recover`` mix priorities, tenants, ``running_caps`` and
 duplicate cache keys; before every lease the oracle sees a copy of the
 queue's records and the grants so far, and both must pick the same job.
 """
@@ -108,7 +108,7 @@ SUBMIT = st.tuples(
     st.integers(0, 2),
     st.sampled_from([None, "a", "b"]),
 )
-LEASE = st.tuples(st.just("lease"), CAPS, st.sampled_from([0.0, 3600.0]))
+LEASE = st.tuples(st.just("lease"), CAPS)
 
 #: Submits and leases weighted up: the interesting states are deep
 #: queues with several tenants leasing.
@@ -119,8 +119,7 @@ OPS = st.one_of(
     LEASE,
     LEASE,
     st.tuples(st.just("complete"), st.integers(0, 50), st.booleans()),
-    st.tuples(st.just("release"), st.integers(0, 50)),
-    st.tuples(st.just("requeue_expired")),
+    st.tuples(st.just("requeue"), st.integers(0, 50)),
     st.tuples(st.just("restart")),
 )
 
@@ -156,11 +155,11 @@ def test_lease_picks_what_a_full_scan_picks(schedule):
                         {"jobs": op[1]}, priority=op[2], tenant=op[3]
                     )
                 elif kind == "lease":
-                    _, caps, seconds = op
+                    _, caps = op
                     oracle = ReferenceLease(
                         copy.deepcopy(all_records(queue)), dict(grants)
-                    ).lease("w", seconds, caps)
-                    leased = queue.lease("w", seconds, running_caps=caps)
+                    ).lease("w", running_caps=caps)
+                    leased = queue.lease("w", running_caps=caps)
                     assert (leased and leased["id"]) == (
                         oracle and oracle["id"]
                     )
@@ -176,12 +175,10 @@ def test_lease_picks_what_a_full_scan_picks(schedule):
                     job_id = pick(all_records(queue), op[1], states)
                     if job_id is not None:
                         queue.complete(job_id, {"status": "ok"})
-                elif kind == "release":
+                elif kind == "requeue":
                     job_id = pick(all_records(queue), op[1], ("running",))
                     if job_id is not None:
-                        queue.release(job_id)
-                elif kind == "requeue_expired":
-                    queue.requeue_expired()
+                        queue.requeue(job_id)
                 else:
                     queue.close()
                     queue = JobQueue(directory, max_requeues=2)

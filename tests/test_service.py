@@ -8,8 +8,10 @@ subprocess test exercises the real ``repro serve`` daemon end to end.
 
 import json
 import os
+import random
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -24,6 +26,7 @@ from repro.engine import (
 )
 from repro.engine.jobs import execute_job_on_circuit, job_from_doc
 from repro.service import (
+    DEFAULT_MAX_REQUEUES,
     JobQueue,
     ProtocolError,
     ServiceClient,
@@ -78,6 +81,30 @@ def start_server(tmp_path, **kwargs):
         str(tmp_path / "queue"), "127.0.0.1:0", **kwargs
     )
     return server.start()
+
+
+def within(seconds, call):
+    """``call()``'s value, failing the test (instead of hanging it)
+    when it has not returned after ``seconds``."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # re-raised on the test thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def worker_threads(server):
+    return [t for t in server._threads if "-worker-" in t.name]
 
 
 class TestParseAddress:
@@ -213,42 +240,44 @@ class TestJobQueue:
         assert queue.get(leased["id"])["record"] == record_ok
         assert queue.counts()["done"] == 1
 
-    def test_expired_lease_requeues_with_count(self, queue):
+    def test_requeue_counts_and_frees_the_job(self, queue):
         queue.submit(SECOND_MANIFEST)
-        leased = queue.lease("w1", lease_seconds=0.0)
-        assert queue.requeue_expired() == [leased["id"]]
+        leased = queue.lease("w1")
+        assert queue.requeue(leased["id"])
         record = queue.get(leased["id"])
         assert record["status"] == "queued"
         assert record["requeues"] == 1
         assert record["lease"] is None
+        # Only a running job can be handed back.
+        assert not queue.requeue(leased["id"])
+        assert not queue.requeue("s999999-00000")
 
     def test_requeue_bound_records_worker_lost_error(self, tmp_path):
         queue = JobQueue(str(tmp_path / "q"), max_requeues=1)
-        queue.submit(SECOND_MANIFEST)
+        submission = queue.submit(SECOND_MANIFEST)
         for _ in range(2):
-            leased = queue.lease("w1", lease_seconds=0.0)
+            leased = queue.lease("w1")
             assert leased is not None
-            queue.requeue_expired()
+            queue.requeue(leased["id"])
         record = queue.get(leased["id"])
         assert record["status"] == "error"
+        assert record["requeues"] == 2
         assert record["record"]["error"]["type"] == "WorkerLostError"
+        assert queue.lease("w1") is None
+        # The error record is durable and visible to result streams.
+        assert [r["id"] for r in queue.completed_records(
+            submission["id"]
+        )] == [leased["id"]]
+        queue.close()
 
-    def test_renew_extends_a_running_lease(self, queue):
+    def test_recover_requeues_every_running_job(self, queue):
         queue.submit(SECOND_MANIFEST)
-        leased = queue.lease("w1", lease_seconds=0.0)
-        # Heartbeat: the expired lease is pushed into the future, so
-        # the maintenance sweep leaves the job alone.
-        assert queue.renew(leased["id"], lease_seconds=3600.0)
-        assert queue.requeue_expired() == []
-        assert queue.get(leased["id"])["status"] == "running"
-        assert not queue.renew("s999999-00000")
-
-    def test_recover_requeues_even_fresh_leases(self, queue):
-        queue.submit(SECOND_MANIFEST)
-        leased = queue.lease("w1", lease_seconds=3600.0)
+        leased = queue.lease("w1")
         reopened = JobQueue(queue.directory)
         assert reopened.recover() == [leased["id"]]
         assert reopened.counts()["queued"] == 1
+        assert reopened.get(leased["id"])["requeues"] == 1
+        reopened.close()
 
 
 class TestServiceLifecycle:
@@ -382,21 +411,17 @@ class TestServiceLifecycle:
         finally:
             revived.stop(drain=False)
 
-    def test_compile_outliving_lease_is_heartbeaten_not_requeued(
-        self, tmp_path, monkeypatch
-    ):
+    def test_slow_compile_runs_once(self, tmp_path, monkeypatch):
         real = execute_job_on_circuit
         calls = []
 
         def slow(job, circuit):
             calls.append(job.label)
-            time.sleep(0.4)  # several lease durations
+            time.sleep(0.4)
             return real(job, circuit)
 
         monkeypatch.setattr(engine_module, "execute_job_on_circuit", slow)
-        server = start_server(
-            tmp_path, workers=2, lease_seconds=0.1, retries=0
-        )
+        server = start_server(tmp_path, workers=2, retries=0)
         try:
             client = ServiceClient(server.address)
             client.wait_ready()
@@ -405,8 +430,8 @@ class TestServiceLifecycle:
                 client.results(submitted["submission"], follow=True)
             )
             assert [r["status"] for r in records] == ["ok"]
-            # The slow compile ran exactly once: its lease was renewed
-            # by the heartbeat, never expired onto a second worker.
+            # The slow compile ran exactly once: a job stays with the
+            # worker that holds it, with no clock to take it away.
             assert len(calls) == 1
             job = server.queue.get(submitted["job_ids"][0])
             assert job["requeues"] == 0
@@ -418,7 +443,8 @@ class TestServiceLifecycle:
         # one job leased and never completed.
         queue = JobQueue(str(tmp_path / "queue"))
         submitted = queue.submit(MANIFEST)
-        assert queue.lease("dead-worker", lease_seconds=3600.0)
+        assert queue.lease("dead-worker")
+        queue.close()
 
         server = start_server(tmp_path, workers=2)
         try:
@@ -445,12 +471,207 @@ class TestServiceLifecycle:
             server.stop(drain=False)
 
 
-class TestIdlePolling:
-    """Bounded backoff on the service's two idle-poll loops.
+class TestWorkerFaults:
+    """A worker whose ``_execute`` raises requeues its job and lives on."""
 
-    Both tests assert properties of the backoff *ladder* (first value,
-    doubling, cap, reset) rather than measuring wall-clock time, so
-    they stay stable on slow or noisy CI machines.
+    def test_one_fault_requeues_and_the_worker_keeps_serving(
+        self, tmp_path, monkeypatch
+    ):
+        real = ServiceServer._meter
+        faults = []
+
+        def flaky(self, *args):
+            if not faults:
+                faults.append(args)
+                raise RuntimeError("injected metering fault")
+            return real(self, *args)
+
+        monkeypatch.setattr(ServiceServer, "_meter", flaky)
+        server = start_server(tmp_path, workers=1)
+        try:
+            client = ServiceClient(server.address)
+            client.wait_ready()
+            first = client.submit(SECOND_MANIFEST)
+            doc = within(
+                30.0, lambda: client.results_document(first["submission"])
+            )
+            assert len(faults) == 1
+            assert docs_equal_modulo_timing(
+                doc, batch_document(SECOND_MANIFEST)
+            )
+            assert server.queue.get(first["job_ids"][0])["requeues"] == 1
+            [worker] = worker_threads(server)
+            assert worker.is_alive()
+            # A different job is a cache miss: only a worker answers it.
+            other = {"jobs": [{"benchmark": "BV-14", "backend": "powermove"}]}
+            second = client.submit(other)
+            doc = within(
+                30.0, lambda: client.results_document(second["submission"])
+            )
+            assert docs_equal_modulo_timing(doc, batch_document(other))
+            assert worker.is_alive()
+        finally:
+            server.stop(drain=False)
+
+    def test_job_that_always_faults_ends_as_one_worker_lost_record(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def broken(self, *args):
+            calls.append(args)
+            raise RuntimeError("injected metering fault")
+
+        monkeypatch.setattr(ServiceServer, "_meter", broken)
+        server = start_server(tmp_path, workers=1)
+        try:
+            client = ServiceClient(server.address)
+            client.wait_ready()
+            submitted = client.submit(SECOND_MANIFEST)
+            [record] = within(
+                30.0,
+                lambda: list(
+                    client.results(submitted["submission"], follow=True)
+                ),
+            )
+            assert record["status"] == "error"
+            assert record["error"]["type"] == "WorkerLostError"
+            assert len(calls) == DEFAULT_MAX_REQUEUES + 1
+            [finished] = server.queue.completed_records(
+                submitted["submission"]
+            )
+            assert finished["requeues"] == DEFAULT_MAX_REQUEUES + 1
+            job = job_from_doc(finished["job"])
+            assert {k: record[k] for k in job.identity()} == job.identity()
+            within(30.0, lambda: server.stop(drain=True))
+            assert server.wait_stopped(timeout=0.0)
+        finally:
+            if not server.wait_stopped(timeout=0.0):
+                server.stop(drain=False)
+
+    def test_engine_fault_record_carries_the_job_identity(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import job_record
+
+        manifest = {
+            "jobs": [
+                {
+                    "benchmark": "BV-14",
+                    "backend": "powermove",
+                    "arch": "wide-storage",
+                    "strategies": {"placement": "spiral"},
+                }
+            ]
+        }
+        [job] = parse_manifest(manifest)
+        [result] = CompilationEngine().run([job])
+        expected = job_record(result, 0)
+
+        def fail(self, jobs):
+            raise RuntimeError("injected engine fault")
+
+        monkeypatch.setattr(CompilationEngine, "run", fail)
+        server = start_server(tmp_path, workers=1)
+        try:
+            client = ServiceClient(server.address)
+            client.wait_ready()
+            submitted = client.submit(manifest)
+            [record] = within(
+                30.0,
+                lambda: list(
+                    client.results(submitted["submission"], follow=True)
+                ),
+            )
+        finally:
+            server.stop(drain=False)
+        assert record["status"] == "error"
+        assert record["error"] == {
+            "type": "RuntimeError", "message": "injected engine fault",
+        }
+        fields = (
+            "index", "benchmark", "scenario", "seed", "num_aods", "arch",
+            "strategies", "cache_key",
+        )
+        assert {k: record.get(k) for k in fields} == {
+            k: expected[k] for k in fields
+        }
+
+
+class TestStreamWakeups:
+    def test_followed_streams_lose_no_wakeup(self, tmp_path):
+        """Followed streams wait on the queue's change feed with no
+        timeout, so a lost wakeup would hang them.  Seeded threads
+        complete jobs at random interleavings while several streams
+        follow each submission; every stream must get every record in
+        completion order before the deadline."""
+        server = ServiceServer(str(tmp_path / "queue"), "127.0.0.1:0")
+        server.start_listener()  # no workers: the threads below finish
+        queue = server.queue
+        manifest = {
+            "jobs": [
+                {"benchmark": "BV-14", "backend": "powermove", "seed": seed}
+                for seed in range(12)
+            ]
+        }
+        sub_ids = [queue.submit(manifest)["id"] for _ in range(3)]
+        streamed = {}
+
+        def follow(key, sub_id):
+            client = ServiceClient(server.address, timeout=30.0)
+            streamed[key] = [
+                record["id"] for record in client.results(sub_id, True)
+            ]
+
+        def complete(seed):
+            rng = random.Random(seed)
+            while queue.unfinished():
+                leased = queue.lease(f"w{seed}")
+                if leased is None:
+                    with queue.changed:
+                        queue.changed.wait(timeout=0.01)
+                    continue
+                if rng.random() < 0.5:
+                    time.sleep(rng.random() * 0.002)
+                queue.complete(
+                    leased["id"], {"status": "ok", "id": leased["id"]}
+                )
+
+        streams = [
+            threading.Thread(target=follow, args=((sub_id, n), sub_id))
+            for sub_id in sub_ids
+            for n in range(3)
+        ]
+        workers = [
+            threading.Thread(target=complete, args=(seed,))
+            for seed in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in streams + workers:
+                thread.start()
+            deadline = time.monotonic() + 60.0
+            for thread in streams + workers:
+                thread.join(max(0.0, deadline - time.monotonic()))
+            assert not any(t.is_alive() for t in streams + workers)
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop(drain=False)
+        for (sub_id, _), ids in streamed.items():
+            assert ids == [
+                record["id"] for record in queue.completed_records(sub_id)
+            ]
+            assert len(ids) == len(manifest["jobs"])
+        assert len(streamed) == len(streams)
+
+
+class TestIdlePolling:
+    """Bounded backoff on the client's idle-poll loop.
+
+    The test asserts properties of the backoff *ladder* (first value,
+    doubling, cap) rather than measuring wall-clock time, so it stays
+    stable on slow or noisy CI machines.
     """
 
     def test_wait_ready_backoff_doubles_to_a_bound(self, monkeypatch):
@@ -486,32 +707,6 @@ class TestIdlePolling:
         for previous, current in zip(sleeps[:-1], sleeps[1:-1]):
             assert current == pytest.approx(min(previous * 2.0, 1.0))
         assert sum(sleeps) == pytest.approx(5.0)
-
-    def test_followed_stream_idle_ladder_doubles_to_a_bound(self):
-        # The asyncio result stream is primarily event-driven (a queue
-        # listener wakes it on every state change); the poll timeout is
-        # only the safety net.  Its ladder starts at the minimum,
-        # doubles, and saturates at the cap.
-        from repro.service.aio import (
-            RESULTS_POLL_MAX_S,
-            RESULTS_POLL_MIN_S,
-            _next_idle_timeout,
-        )
-
-        timeout = RESULTS_POLL_MIN_S
-        seen = [timeout]
-        for _ in range(12):
-            timeout = _next_idle_timeout(timeout)
-            seen.append(timeout)
-        assert seen[0] == pytest.approx(RESULTS_POLL_MIN_S)
-        for previous, current in zip(seen, seen[1:]):
-            assert current == pytest.approx(
-                min(previous * 2.0, RESULTS_POLL_MAX_S)
-            )
-        assert seen[-1] == pytest.approx(RESULTS_POLL_MAX_S)
-        assert _next_idle_timeout(RESULTS_POLL_MAX_S) == pytest.approx(
-            RESULTS_POLL_MAX_S
-        )
 
     def test_connect_retry_waits_for_late_listener(self, tmp_path):
         import socket as socket_module
@@ -710,11 +905,9 @@ class TestCompletedTtl:
     def test_server_ttl_sweep_prunes_finished_submissions(
         self, tmp_path
     ):
-        # lease_seconds=0.4 makes the maintenance sweep run every
-        # ~0.1 s, so a zero TTL collects promptly after completion.
-        server = start_server(
-            tmp_path, workers=1, lease_seconds=0.4, completed_ttl=0.0
-        )
+        # A zero TTL makes the maintenance sweep run every 0.05 s, so
+        # it collects promptly after completion.
+        server = start_server(tmp_path, workers=1, completed_ttl=0.0)
         try:
             client = ServiceClient(server.address)
             client.wait_ready()
