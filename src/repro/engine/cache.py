@@ -8,11 +8,15 @@ to either invalidates every stale entry.  Two jobs collide on a key only
 when they are guaranteed to produce bit-identical programs.
 
 The cached value is the :func:`repro.engine.jobs.execute_job` artifact
-(program JSON text, record summary, compile time).  Backends:
+(program JSON text, record summary, compile time).  Every tier that
+holds bytes stores and transfers it through one codec,
+:func:`encode_artifact` / :func:`decode_artifact`: a one-line JSON
+header of every field but ``program``, then the program text verbatim,
+so a hit parses the header and never unescapes the program.  Backends:
 
 * :class:`MemoryCache` -- per-process dict, for repeated sweeps within
   one run;
-* :class:`DiskCache` -- one JSON file per key under a directory, shared
+* :class:`DiskCache` -- one encoded file per key under a directory, shared
   across processes and runs (writes are atomic rename, so concurrent
   workers race benignly; size accounting and eviction take a
   cross-process file lock); give it ``max_bytes`` for LRU eviction by
@@ -59,8 +63,9 @@ from .jobs import (
 #: key payload and artifacts carry per-pass timings.  v3: the
 #: architecture-catalog name and strategy-axis selections joined the
 #: key payload.  v4: the program travels as one JSON string and the
-#: artifact carries its record ``summary``.
-CACHE_SCHEMA_VERSION = 4
+#: artifact carries its record ``summary``.  v5: artifacts are stored
+#: and transferred in the two-line :func:`encode_artifact` layout.
+CACHE_SCHEMA_VERSION = 5
 
 
 #: Bound on the :func:`_key_fields` memo (cleared when full).
@@ -140,6 +145,63 @@ def job_cache_key(job: CompileJob, circuit_digest: str | None = None) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _artifact_lines(doc: Any) -> tuple[str, str | None]:
+    """``(header line, program text or None)`` of one artifact."""
+    if isinstance(doc, dict) and isinstance(doc.get("program"), str):
+        header = {
+            name: value for name, value in doc.items() if name != "program"
+        }
+        return json.dumps(header, separators=(",", ":")), doc["program"]
+    return json.dumps(doc, separators=(",", ":")), None
+
+
+def encode_artifact(doc: Any) -> bytes:
+    """The bytes every tier stores and transfers for ``doc``.
+
+    Line 1 is a JSON header holding every field but ``program``.
+    ``json.dumps`` escapes every newline inside a string, so the first
+    ``\\n`` always ends the header.  Everything after it is the
+    program's JSON text verbatim, never escaped a second time.  A doc
+    without a ``str`` ``program`` (any other JSON value too) is one
+    line.  An unencodable doc raises ``TypeError``.
+    """
+    header, program = _artifact_lines(doc)
+    if program is None:
+        return header.encode("utf-8")
+    return f"{header}\n{program}".encode("utf-8")
+
+
+def encoded_artifact_size(doc: Any) -> int:
+    """Length of :func:`encode_artifact` ``(doc)`` without building it:
+    header length + 1 + program length (in characters, which equal
+    bytes for the ASCII program text a compile emits)."""
+    header, program = _artifact_lines(doc)
+    if program is None:
+        return len(header)
+    return len(header) + 1 + len(program)
+
+
+def decode_artifact(data: bytes) -> dict[str, Any] | None:
+    """The artifact :func:`encode_artifact` wrote, or ``None``.
+
+    Parses line 1 as the header; the rest, if any, is ``program``,
+    decoded once and not parsed.  Bytes that are not UTF-8, a torn or
+    invalid header line and a header that is not a JSON object all
+    read as ``None`` -- a miss, never a crash on the hit path.
+    """
+    view = memoryview(data)
+    end = data.find(b"\n")
+    try:
+        doc = json.loads(str(view if end < 0 else view[:end], "utf-8"))
+        if not isinstance(doc, dict):
+            return None
+        if end >= 0:
+            doc["program"] = str(view[end + 1:], "utf-8")
+    except ValueError:  # UnicodeDecodeError or JSONDecodeError
+        return None
+    return doc
 
 
 @dataclass
@@ -366,9 +428,10 @@ class NullCache(ProgramCache):
 class MemoryCache(ProgramCache):
     """In-process dict backend.
 
-    Tracks an approximate byte occupancy (canonical-JSON size of every
-    entry) so ``info`` / ``prune`` work uniformly across backends;
-    eviction order is insertion order (oldest entry first).
+    Tracks an approximate byte occupancy (the
+    :func:`encoded_artifact_size` of every entry) so ``info`` /
+    ``prune`` work uniformly across backends; eviction order is
+    insertion order (oldest entry first).
     """
 
     kind = "memory"
@@ -382,7 +445,7 @@ class MemoryCache(ProgramCache):
         return len(self._entries)
 
     def total_bytes(self) -> int:
-        """Approximate summed entry size (canonical JSON bytes)."""
+        """Approximate summed entry size (encoded artifact bytes)."""
         return sum(self._sizes.values())
 
     def _load(self, key: str) -> dict[str, Any] | None:
@@ -390,9 +453,7 @@ class MemoryCache(ProgramCache):
 
     def _store(self, key: str, doc: dict[str, Any]) -> None:
         self._entries[key] = doc
-        self._sizes[key] = len(
-            json.dumps(doc, separators=(",", ":"), sort_keys=True)
-        )
+        self._sizes[key] = encoded_artifact_size(doc)
 
     def _contains(self, key: str) -> bool:
         return key in self._entries
@@ -475,29 +536,6 @@ class _DirectoryLock:
         self._mutex.release()
 
 
-def write_json_atomic(path: str, doc: Any) -> None:
-    """Write ``doc`` as JSON to ``path`` via a temporary file + rename.
-
-    A reader sees the old file or the whole new one, never a torn
-    write.  The text is encoded in one ``json.dumps`` call -- the C
-    encoder; ``json.dump`` to a file runs the pure-Python one, chunk by
-    chunk -- and the output bytes are the same.  An unencodable doc
-    raises before any file is created.
-    """
-    text = json.dumps(doc)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=os.path.dirname(path), suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
 @dataclass(frozen=True)
 class PruneReport:
     """Outcome of one :meth:`DiskCache.prune` call."""
@@ -511,6 +549,9 @@ class PruneReport:
 class DiskCache(ProgramCache):
     """One ``<key>.json`` file per entry under ``directory``.
 
+    Each file holds the :func:`encode_artifact` bytes (the ``.json``
+    name predates the two-line layout and is kept, so entries of older
+    schemas still count towards occupancy and age out under eviction).
     The directory is created on first use.  Writes go through a
     temporary file plus :func:`os.replace`, so a reader never observes a
     half-written entry and concurrent writers of the same key simply
@@ -553,9 +594,12 @@ class DiskCache(ProgramCache):
     def _load(self, key: str) -> dict[str, Any] | None:
         path = self._path(key)
         try:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            return None
+        doc = decode_artifact(data)
+        if doc is None:
             return None
         try:
             os.utime(path)  # refresh LRU recency
@@ -564,9 +608,23 @@ class DiskCache(ProgramCache):
         return doc
 
     def _write_entry(self, key: str, doc: dict[str, Any]) -> None:
-        """Atomically (tmp file + rename) write one entry payload."""
+        """Write one entry via a temporary file + rename.
+
+        A reader sees the old file or the whole new one, never a torn
+        write.  The doc is encoded first, so an unencodable doc raises
+        before any file is created.
+        """
+        data = encode_artifact(doc)
         os.makedirs(self.directory, exist_ok=True)
-        write_json_atomic(self._path(key), doc)
+        fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp_path, self._path(key))
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
 
     def _store(self, key: str, doc: dict[str, Any]) -> None:
         if self.max_bytes is None:
@@ -696,6 +754,8 @@ __all__ = [
     "NullCache",
     "ProgramCache",
     "PruneReport",
+    "decode_artifact",
+    "encode_artifact",
+    "encoded_artifact_size",
     "job_cache_key",
-    "write_json_atomic",
 ]

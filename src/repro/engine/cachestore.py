@@ -23,14 +23,17 @@ disk, null); this module turns caching into a *pluggable subsystem*:
   ``"memory"``, ``"disk:PATH[:MAX_BYTES]"``, ``"remote:URL"``,
   ``"tiered:SPEC,SPEC,..."``, ``"null"``.
 
-Protocol (version 1, all payloads canonical JSON)::
+Protocol (version 2; artifact bodies are the
+:func:`~repro.engine.cache.encode_artifact` bytes, every other body is
+JSON)::
 
     GET  /v1/cache/<key>   200 body=artifact, X-Repro-Digest + ETag
                            404 unknown key
     HEAD /v1/cache/<key>   200 / 404 (no body)
     PUT  /v1/cache/<key>   204; body digest checked against
                            X-Repro-Digest when the client sends it,
-                           400 on mismatch or non-JSON
+                           400 on mismatch or a body that does not
+                           decode to an artifact object
     GET  /v1/stats         200 {"protocol", "entries", "total_bytes",
                            "stats": {hits, misses, ...}}
     POST /v1/prune         200 PruneReport doc; body {"max_bytes": N}
@@ -39,10 +42,11 @@ Protocol (version 1, all payloads canonical JSON)::
                            docs/observability.md)
 
 ``<key>`` is the 64-hex :func:`repro.engine.cache.job_cache_key`;
-anything else is 400.  The digest is SHA-256 over the canonical
-(sorted-key, no-whitespace) JSON encoding of the artifact, so
-transport corruption or truncation is detected on both directions
-while formatting differences are not spuriously rejected.
+anything else is 400.  The digest is SHA-256 over the payload bytes,
+so transport corruption or truncation is detected on both directions.
+Version 2 changed the artifact body from one JSON document to the
+two-line codec layout; a one-line (version 1) body still decodes, so
+old clients' PUTs are accepted.
 
 See ``docs/caching.md`` for the tier model, the full spec grammar and
 deployment notes.
@@ -69,13 +73,19 @@ from .cache import (
     NullCache,
     ProgramCache,
     PruneReport,
+    decode_artifact,
+    encode_artifact,
 )
 
 #: Bump on incompatible wire changes; ``/v1/stats`` reports it.
-REMOTE_PROTOCOL_VERSION = 1
+#: v2: artifact bodies use the two-line codec layout.
+REMOTE_PROTOCOL_VERSION = 2
 
-#: Header carrying the canonical-JSON SHA-256 of the payload.
+#: Header carrying the SHA-256 of the payload bytes.
 DIGEST_HEADER = "X-Repro-Digest"
+
+#: Content type of an artifact body (not JSON once it has two lines).
+ARTIFACT_CONTENT_TYPE = "application/octet-stream"
 
 #: Upper bound on one PUT body (a compiled-program artifact for the
 #: largest suite rows is ~1 MB; 64 MiB bounds a malformed peer).
@@ -99,15 +109,8 @@ class RemoteCacheError(RuntimeError):
     """
 
 
-def artifact_payload(doc: dict[str, Any]) -> bytes:
-    """Canonical wire encoding of an artifact (sorted keys, compact)."""
-    return json.dumps(
-        doc, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
-
-
 def artifact_digest(payload: bytes) -> str:
-    """Hex SHA-256 of a canonical artifact payload."""
+    """Hex SHA-256 of an artifact payload."""
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -221,22 +224,17 @@ class RemoteCache(ProgramCache):
             # Corrupted / truncated transfer: reject, recompile.
             self._count_error()
             return None
-        try:
-            doc = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        doc = decode_artifact(payload)
+        if doc is None:
             self._count_error()
-            return None
-        if not isinstance(doc, dict):
-            self._count_error()
-            return None
         return doc
 
     def _store(self, key: str, doc: dict[str, Any]) -> None:
         if self._down():
             return
-        payload = artifact_payload(doc)
+        payload = encode_artifact(doc)
         headers = {
-            "Content-Type": "application/json",
+            "Content-Type": ARTIFACT_CONTENT_TYPE,
             DIGEST_HEADER: artifact_digest(payload),
         }
         try:
@@ -472,10 +470,10 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         if doc is None:
             self._send_error(404, "unknown cache key")
             return
-        payload = artifact_payload(doc)
+        payload = encode_artifact(doc)
         digest = artifact_digest(payload)
         self.send_response(200)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", ARTIFACT_CONTENT_TYPE)
         self.send_header("Content-Length", str(len(payload)))
         self.send_header(DIGEST_HEADER, digest)
         self.send_header("ETag", f'"{digest}"')
@@ -520,13 +518,11 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
                 400, "payload digest does not match " + DIGEST_HEADER
             )
             return
-        try:
-            doc = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self._send_error(400, "payload is not valid JSON")
-            return
-        if not isinstance(doc, dict):
-            self._send_error(400, "payload must be a JSON object")
+        doc = decode_artifact(payload)
+        if doc is None:
+            self._send_error(
+                400, "payload header is not a UTF-8 JSON object"
+            )
             return
         self._store().put(key, doc)
         self.send_response(204)
@@ -1043,7 +1039,6 @@ __all__ = [
     "RemoteCacheServer",
     "TieredCache",
     "artifact_digest",
-    "artifact_payload",
     "cache_stats_registry",
     "describe_cache",
     "make_cache",

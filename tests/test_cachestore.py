@@ -37,10 +37,11 @@ from repro.engine import (
     parse_cache_spec,
     results_doc,
 )
+from repro.engine.cache import encode_artifact
 from repro.engine.cachestore import (
     DIGEST_HEADER,
+    REMOTE_PROTOCOL_VERSION,
     artifact_digest,
-    artifact_payload,
 )
 
 
@@ -159,7 +160,7 @@ class TestRemoteProtocol:
 
     def test_put_with_wrong_digest_rejected(self, server):
         key = _key("bad-digest")
-        payload = artifact_payload(_doc())
+        payload = encode_artifact(_doc())
         request = urllib.request.Request(
             f"{server.url}/v1/cache/{key}",
             data=payload,
@@ -259,7 +260,7 @@ class TestRemoteProtocol:
             client.put(_key(tag), _doc(tag))
         stats = client.server_stats()
         assert stats["entries"] == 2
-        assert stats["protocol"] == 1
+        assert stats["protocol"] == REMOTE_PROTOCOL_VERSION == 2
         report = client.prune(0)
         assert report.removed_entries == 2
         assert client.server_stats()["entries"] == 0
@@ -272,6 +273,123 @@ class TestRemoteProtocol:
             client.prune(0)
         info = client.info()
         assert info["reachable"] is False
+
+
+def _text_doc(tag: str = "x") -> dict:
+    """An artifact whose program is text: two lines on the wire."""
+    return {
+        "program": json.dumps({"payload": tag, "note": 'a "q"\nb'}),
+        "summary": {"total": 0.5},
+        "compile_time": 0.25,
+        "validated": True,
+    }
+
+
+def _serve_once(body: bytes, digest: str):
+    """A one-route server answering every GET with ``body`` under the
+    digest header ``digest``; returns ``(httpd, url)``."""
+    from http.server import BaseHTTPRequestHandler, HTTPServer
+
+    class Fixed(BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header(DIGEST_HEADER, digest)
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    httpd = HTTPServer(("127.0.0.1", 0), Fixed)
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    return httpd, f"http://127.0.0.1:{httpd.server_address[1]}"
+
+
+def _put(url: str, key: str, payload: bytes, digest: bool = True) -> int:
+    """Status of one raw PUT of ``payload`` under ``key``."""
+    headers = {DIGEST_HEADER: artifact_digest(payload)} if digest else {}
+    request = urllib.request.Request(
+        f"{url}/v1/cache/{key}", data=payload, method="PUT",
+        headers=headers,
+    )
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status
+    except urllib.error.HTTPError as err:
+        return err.status
+
+
+class TestWirePayload:
+    """Artifact bodies are the codec's bytes, in both directions."""
+
+    def test_get_serves_the_codec_bytes_the_disk_store_holds(
+        self, tmp_path
+    ):
+        store = DiskCache(str(tmp_path / "store"))
+        srv = RemoteCacheServer(store).start()
+        try:
+            key, doc = _key("wire"), _text_doc("wire")
+            RemoteCache(srv.url).put(key, doc)
+            with urllib.request.urlopen(
+                f"{srv.url}/v1/cache/{key}"
+            ) as response:
+                payload = response.read()
+        finally:
+            srv.stop()
+        assert payload == encode_artifact(doc)
+        assert payload.split(b"\n", 1)[1] == doc["program"].encode()
+        on_disk = (tmp_path / "store" / f"{key}.json").read_bytes()
+        assert on_disk == payload
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda payload: payload[: len(payload) // 2],
+            lambda payload: payload[:-1],
+            lambda payload: payload.replace(b"wire", b"wirf"),
+            lambda payload: payload[:5],
+        ],
+        ids=["truncated-half", "truncated-by-one", "flipped", "torn-header"],
+    )
+    def test_damaged_transfer_fails_the_digest_as_one_error(self, damage):
+        payload = encode_artifact(_text_doc("wire"))
+        httpd, url = _serve_once(damage(payload), artifact_digest(payload))
+        try:
+            client = RemoteCache(url)
+            assert client.get(_key("wire")) is None
+            assert client.stats.errors == 1
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"compile_time": \n"program"',
+            b'[1, 2]\n{"program": 1}',
+            b'"text"',
+            b"\xff\xfe{}\n{}",
+        ],
+        ids=["torn-header", "list-header", "string-header", "not-utf8"],
+    )
+    def test_put_with_an_invalid_header_is_400(self, server, payload):
+        key = _key("invalid-header")
+        assert _put(server.url, key, payload) == 400
+        assert not RemoteCache(server.url).contains(key)
+
+    def test_one_line_v4_payload_is_stored_and_served(self, server):
+        """A pre-codec client sends the whole artifact as one sorted,
+        compact JSON document; the server still stores and serves it."""
+        key, doc = _key("v4"), _text_doc("v4")
+        payload = json.dumps(
+            doc, separators=(",", ":"), sort_keys=True
+        ).encode()
+        assert b"\n" not in payload
+        assert _put(server.url, key, payload) == 204
+        client = RemoteCache(server.url)
+        assert client.get(key) == doc
+        assert client.stats.errors == 0
 
 
 class TestRemoteFailSoft:

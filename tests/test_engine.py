@@ -1,9 +1,10 @@
 """Tests for the batch compilation engine (jobs, cache, fan-out)."""
 
-import io
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.baselines import EnolaConfig
 from repro.benchsuite import PAPER_ORDER, get_benchmark
@@ -18,10 +19,17 @@ from repro.engine import (
     ManifestError,
     MemoryCache,
     NullCache,
+    docs_equal_modulo_timing,
     effective_config,
     execute_job,
     job_cache_key,
     parse_manifest,
+    results_doc,
+)
+from repro.engine.cache import (
+    decode_artifact,
+    encode_artifact,
+    encoded_artifact_size,
 )
 from repro.schedule.serialize import program_to_dict
 
@@ -186,8 +194,9 @@ class TestCaches:
             "b.json",
         ]
 
-    def test_disk_cache_bytes_match_json_dump(self, tmp_path):
-        """One-shot ``json.dumps`` writes what ``json.dump`` wrote."""
+    def test_disk_cache_bytes_are_the_two_line_layout(self, tmp_path):
+        """A disk entry is a compact JSON header of every field but
+        ``program``, one newline, then the program text verbatim."""
         directory = tmp_path / "cache"
         cache = DiskCache(str(directory))
         stored = {}
@@ -203,13 +212,75 @@ class TestCaches:
         )
         assert stored
         for key, doc in stored.items():
-            text = (directory / f"{key}.json").read_text(encoding="utf-8")
-            # A real artifact: float fields and nested lists.
+            data = (directory / f"{key}.json").read_bytes()
+            header = {k: v for k, v in doc.items() if k != "program"}
+            want = json.dumps(header, separators=(",", ":"))
+            assert data == f"{want}\n{doc['program']}".encode()
+            # A real artifact: float fields, and the program's quotes
+            # and nested lists are stored unescaped.
             assert isinstance(doc["compile_time"], float)
-            assert "[[" in text
-            want = io.StringIO()
-            json.dump(doc, want)
-            assert text == want.getvalue()
+            assert data.count(b"\n") == 1
+            assert b'\\"' not in data and b"[[" in data
+            assert json.loads(data.split(b"\n")[0]) == header
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            b"\xff garbage",
+            b'{"x": 1}\n\xff\xfe',
+            b'{"summary": {"tot',
+            b'{"summary": {"tot\n{"format": 1}',
+            b"[1, 2]\n{}",
+            b'"text"',
+            b"",
+        ],
+        ids=[
+            "not-utf8", "program-not-utf8", "torn-header",
+            "torn-header-two-lines", "list-header", "string-header",
+            "empty",
+        ],
+    )
+    def test_disk_cache_reads_a_foreign_entry_as_a_miss(
+        self, tmp_path, damage
+    ):
+        directory = tmp_path / "cache"
+        cache = DiskCache(str(directory))
+        cache.put("k", {"program": "{}", "x": 1})
+        (directory / "k.json").write_bytes(damage)
+        assert cache.get("k") is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [b"\xff garbage", b'{"summary": {"tot'],
+        ids=["not-utf8", "torn-header"],
+    )
+    def test_foreign_disk_entry_is_recompiled_when_collecting(
+        self, tmp_path, damage
+    ):
+        """A foreign entry under a live key is a miss: the job compiles
+        again and the batch equals a cold run."""
+        def doc_of(results):
+            return results_doc(
+                results, manifest_digest="d", total_jobs=len(results),
+                wall_time_s=0.0, on_error="collect",
+            )
+
+        jobs = [
+            CompileJob(scenario="pm_with_storage", benchmark="BV-14"),
+            CompileJob(scenario="pm_non_storage", benchmark="BV-14"),
+        ]
+        directory = tmp_path / "cache"
+        spec = f"disk:{directory}"
+        cold = CompilationEngine(on_error="collect").run(jobs)
+        CompilationEngine(cache=spec).run(jobs)
+        (directory / f"{cold[0].key}.json").write_bytes(damage)
+        warm = CompilationEngine(cache=spec, on_error="collect").run(jobs)
+        assert [r.cache_hit for r in warm] == [False, True]
+        assert all(r.ok for r in warm)
+        assert docs_equal_modulo_timing(doc_of(cold), doc_of(warm))
+        [again] = CompilationEngine(cache=spec).run(jobs[:1])
+        assert again.cache_hit  # the recompile overwrote the entry
 
     def test_unencodable_doc_leaves_no_temp_file(self, tmp_path):
         directory = tmp_path / "cache"
@@ -219,6 +290,53 @@ class TestCaches:
             cache.put("k", {"x": object()})
         assert [p.name for p in directory.iterdir()] == ["k.json"]
         assert cache.get("k") == {"x": 1}
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+#: Program texts with the characters a line-based layout could trip on.
+programs = st.text() | st.text(
+    alphabet=st.sampled_from('\n\r"\\{}[],:ab é✓\u2028\x00')
+)
+
+
+class TestArtifactCodec:
+    """One encoder/decoder pair for every tier (disk, memory, wire)."""
+
+    @given(
+        fields=st.dictionaries(
+            st.text(max_size=8).filter(lambda name: name != "program"),
+            json_values,
+            max_size=5,
+        ),
+        program=st.none() | programs | json_values,
+    )
+    @example(fields={"x": [1, 2]}, program=None)
+    @example(fields={}, program="")
+    @example(fields={"summary": {"total": 0.5}}, program='{"a":\n"b"}')
+    def test_round_trip(self, fields, program):
+        doc = fields if program is None else {**fields, "program": program}
+        data = encode_artifact(doc)
+        assert decode_artifact(data) == doc
+        assert encoded_artifact_size(doc) == len(data.decode("utf-8"))
+        header, newline, rest = data.partition(b"\n")
+        if isinstance(program, str):
+            assert newline and rest == program.encode("utf-8")
+            assert "program" not in json.loads(header)
+        else:
+            assert not newline
+
+    @pytest.mark.parametrize("value", [[1, 2], "text", 3, None])
+    def test_non_object_docs_decode_as_a_miss(self, value):
+        assert decode_artifact(encode_artifact(value)) is None
 
 
 class TestEngine:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import Circuit, partition_into_blocks
@@ -35,16 +35,36 @@ def moves(draw, qubit=None):
     return Move(q, src, dst)
 
 
+def cz_block(num_qubits, pairs):
+    """The first commuting block of a circuit of CZ ``pairs``."""
+    qc = Circuit(num_qubits)
+    for a, b in pairs:
+        qc.cz(a, b)
+    return partition_into_blocks(qc).blocks[0]
+
+
 @st.composite
 def random_cz_blocks(draw):
     """A commuting block as a list of random CZ pairs."""
     n = draw(st.integers(2, 10))
-    qc = Circuit(n)
+    pairs = []
     for _ in range(draw(st.integers(1, 25))):
         a = draw(st.integers(0, n - 1))
         b = draw(st.integers(0, n - 1).filter(lambda x, a=a: x != a))
-        qc.cz(a, b)
-    return partition_into_blocks(qc).blocks[0]
+        pairs.append((a, b))
+    return cz_block(n, pairs)
+
+
+#: A 21-gate block on 8 qubits where DSATUR needs 8 stages and the
+#: static degree order 6.
+DSATUR_LOSES = cz_block(
+    8,
+    [
+        (6, 3), (7, 2), (0, 4), (0, 7), (1, 3), (6, 5), (4, 2),
+        (6, 1), (7, 6), (6, 7), (2, 3), (1, 0), (7, 3), (4, 0),
+        (5, 3), (5, 4), (0, 2), (4, 2), (0, 2), (5, 4), (6, 3),
+    ],
+)
 
 
 class TestColoringProperties:
@@ -70,12 +90,32 @@ class TestColoringProperties:
         assert len(stages) >= max(counts.values())
 
     @given(random_cz_blocks())
+    @example(DSATUR_LOSES)
     @settings(max_examples=60)
-    def test_saturation_never_beaten_by_degree(self, block):
-        sat = len(partition_stages(block, ordering="saturation"))
-        deg = len(partition_stages(block, ordering="degree"))
-        assert sat <= deg + 1  # DSATUR can rarely tie+1 on adversarial
-        # graphs; on these block graphs it should essentially never lose.
+    def test_both_orderings_stay_within_the_greedy_bound(self, block):
+        """Each ordering is a proper greedy colouring, so it uses at
+        most max degree + 1 stages of the gates' conflict graph.
+        Neither ordering bounds the other (see ``DSATUR_LOSES``)."""
+        qubits = [set(gate.qubits) for gate in block.gates]
+        max_degree = max(
+            sum(
+                1
+                for j, other in enumerate(qubits)
+                if j != i and mine & other
+            )
+            for i, mine in enumerate(qubits)
+        )
+        for ordering in ("saturation", "degree"):
+            stages = partition_stages(block, ordering=ordering)
+            for stage in stages:
+                stage.validate()
+            assert sum(s.num_gates for s in stages) == block.num_gates
+            assert len(stages) <= max_degree + 1
+
+    def test_dsatur_can_need_more_stages_than_degree_order(self):
+        sat = len(partition_stages(DSATUR_LOSES, ordering="saturation"))
+        deg = len(partition_stages(DSATUR_LOSES, ordering="degree"))
+        assert (DSATUR_LOSES.num_gates, sat, deg) == (21, 8, 6)
 
 
 class TestSerializationProperty:

@@ -28,6 +28,7 @@ from repro.engine import (
     CompileJob,
     DiskCache,
     MemoryCache,
+    TieredCache,
     docs_equal_modulo_timing,
 )
 from repro.engine.jobs import SUMMARY_FIELDS, execute_job_on_circuit
@@ -152,6 +153,34 @@ def test_golden_cell_summary_is_the_replay(backend, workload, seed, digest):
     artifact = execute_job_on_circuit(job, circuit)
     program = assert_summary_matches(artifact, DEFAULT_PARAMS)
     assert program_digest(program) == digest
+
+
+@pytest.mark.parametrize(
+    "backend,workload,seed",
+    [(c["backend"], c["workload"], c["seed"]) for c in _GOLDEN],
+    ids=[f"{c['backend']}-{c['workload']}-s{c['seed']}" for c in _GOLDEN],
+)
+def test_golden_cell_hits_equal_the_worker_artifact(
+    backend, workload, seed, tmp_path
+):
+    """A disk hit (decoded from the two-line layout) and a memory hit
+    serve exactly the artifact the worker returned."""
+    job, _ = golden_job(backend, workload, seed)
+    memory, directory = MemoryCache(), str(tmp_path / "cache")
+    [cold] = CompilationEngine(
+        cache=TieredCache([memory, DiskCache(directory)])
+    ).run([job])
+    artifact = memory.get(cold.key)
+    assert artifact["program"] == cold.program_text
+    disk = DiskCache(directory)
+    assert disk.get(cold.key) == artifact
+    for tier in (disk, memory):
+        [hit] = CompilationEngine(cache=tier).run([job])
+        assert hit.cache_hit and hit.stats["cache_tier"] == tier.kind
+        assert hit.program_text == artifact["program"]
+        assert hit.summary == artifact["summary"]
+        assert hit.compile_time == artifact["compile_time"]
+        assert tier.get(cold.key)["validated"] is artifact["validated"]
 
 
 @settings(

@@ -15,6 +15,7 @@ import os
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -291,6 +292,43 @@ class TestProbe:
         assert [t["stats"] for t in probed.stats_doc()["tiers"]] == [
             t["stats"] for t in fetched.stats_doc()["tiers"]
         ]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [b"\xff garbage", b'{"summary": {"tot', b"[1, 2]\n{}"],
+        ids=["not-utf8", "torn-header", "list-header"],
+    )
+    def test_a_foreign_disk_entry_is_left_to_a_worker(
+        self, tmp_path, damage
+    ):
+        """A foreign entry under the key is a miss at submit: the probe
+        counts nothing, and the daemon's worker recompiles the job."""
+        manifest = {"jobs": [POOL[0]]}
+        [job] = parse_manifest(manifest)
+        key = job_cache_key(job)
+        directory = tmp_path / "disk"
+        DiskCache(str(directory)).put(key, self.artifact())
+        (directory / f"{key}.json").write_bytes(damage)
+        probed = TieredCache([MemoryCache(), DiskCache(str(directory))])
+        assert CompilationEngine(cache=probed).cached_result(job, key) is None
+        assert [t["stats"] for t in probed.stats_doc()["tiers"]] == [
+            MemoryCache().stats_doc()["stats"]
+        ] * 2
+        server = ServiceServer(
+            str(tmp_path / "queue"), "127.0.0.1:0", workers=1,
+            cache=f"tiered:memory,disk:{directory}",
+        ).start()
+        try:
+            client = ServiceClient(server.address)
+            receipt = client.submit(manifest)
+            doc = client.results_document(receipt.submission)
+        finally:
+            server.stop(drain=False)
+        assert [r["cache_hit"] for r in doc["results"]] == [False]
+        assert docs_equal_modulo_timing(doc, batch_doc(manifest))
+        assert DiskCache(str(directory)).get(key)["summary"] == (
+            self.artifact()["summary"]
+        )
 
     def test_a_remote_only_hit_is_left_to_a_worker(self, tmp_path):
         key = job_cache_key(self.JOB)
