@@ -1148,8 +1148,12 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .circuits import transpile_to_native
-    from .verify import verify_program_semantics
 
+    try:
+        from .verify import verify_program_semantics
+    except ImportError as exc:
+        print(f"error: repro verify needs numpy ({exc})", file=sys.stderr)
+        return 2
     circuit = load_qasm(args.file)
     config = PowerMoveConfig(
         use_storage=args.storage, num_aods=args.aods, seed=args.seed

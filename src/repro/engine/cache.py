@@ -204,6 +204,28 @@ def decode_artifact(data: bytes) -> dict[str, Any] | None:
     return doc
 
 
+def checked_artifact(data: bytes) -> bytes | None:
+    """``data`` itself where :func:`decode_artifact` reads an artifact
+    from it, else ``None``: the same verdict, without building the
+    program string.
+
+    Parses the header line only.  The program's UTF-8 is checked by a
+    decode only when the bytes are not all ASCII; compiled programs
+    are.
+    """
+    view = memoryview(data)
+    end = data.find(b"\n")
+    try:
+        header = json.loads(str(view if end < 0 else view[:end], "utf-8"))
+        if not isinstance(header, dict):
+            return None
+        if end >= 0 and not data.isascii():
+            str(view[end + 1:], "utf-8")
+    except ValueError:  # UnicodeDecodeError or JSONDecodeError
+        return None
+    return data
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store/eviction counters of one cache instance.
@@ -298,6 +320,16 @@ class ProgramCache:
         doc = self._load(key)
         self._count_lookup(time.perf_counter() - start, doc is not None)
         return doc
+
+    def get_encoded(self, key: str) -> bytes | None:
+        """:meth:`get`, as the artifact's :func:`encode_artifact` bytes
+        (what the reference cache server sends); counted as a ``get``.
+
+        A backend that stores those bytes overrides this to return
+        them as stored, never decoding the program.
+        """
+        doc = self.get(key)
+        return None if doc is None else encode_artifact(doc)
 
     def probe(
         self, key: str, accept: Callable[[dict[str, Any]], bool]
@@ -592,20 +624,32 @@ class DiskCache(ProgramCache):
         return os.path.join(self.directory, f"{key}.json")
 
     def _load(self, key: str) -> dict[str, Any] | None:
+        return self._read(key, decode_artifact)
+
+    def get_encoded(self, key: str) -> bytes | None:
+        start = time.perf_counter()
+        data = self._read(key, checked_artifact)
+        self._count_lookup(time.perf_counter() - start, data is not None)
+        return data
+
+    def _read(self, key: str, decode: Callable[[bytes], Any]) -> Any:
+        """``decode`` of the entry's bytes, or ``None`` when the entry
+        is missing or ``decode`` rejects it.  An accepted entry's LRU
+        recency is refreshed."""
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
         except OSError:
             return None
-        doc = decode_artifact(data)
-        if doc is None:
+        found = decode(data)
+        if found is None:
             return None
         try:
             os.utime(path)  # refresh LRU recency
         except OSError:
             pass
-        return doc
+        return found
 
     def _write_entry(self, key: str, doc: dict[str, Any]) -> None:
         """Write one entry via a temporary file + rename.
@@ -754,6 +798,7 @@ __all__ = [
     "NullCache",
     "ProgramCache",
     "PruneReport",
+    "checked_artifact",
     "decode_artifact",
     "encode_artifact",
     "encoded_artifact_size",

@@ -27,8 +27,9 @@ Protocol (version 2; artifact bodies are the
 :func:`~repro.engine.cache.encode_artifact` bytes, every other body is
 JSON)::
 
-    GET  /v1/cache/<key>   200 body=artifact, X-Repro-Digest + ETag
-                           404 unknown key
+    GET  /v1/cache/<key>   200 body=artifact (a disk store's bytes as
+                           stored), X-Repro-Digest + ETag
+                           404 unknown key or not an artifact
     HEAD /v1/cache/<key>   200 / 404 (no body)
     PUT  /v1/cache/<key>   204; body digest checked against
                            X-Repro-Digest when the client sends it,
@@ -466,11 +467,10 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         if key is None:
             self._send_error(400, "expected /v1/cache/<64-hex-key>")
             return
-        doc = self._store().get(key)
-        if doc is None:
+        payload = self._store().get_encoded(key)
+        if payload is None:
             self._send_error(404, "unknown cache key")
             return
-        payload = encode_artifact(doc)
         digest = artifact_digest(payload)
         self.send_response(200)
         self.send_header("Content-Type", ARTIFACT_CONTENT_TYPE)

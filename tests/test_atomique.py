@@ -1,6 +1,5 @@
 """Tests for the Atomique-style fixed-array SWAP-insertion baseline."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -14,25 +13,31 @@ from repro.circuits.generators import qaoa_regular
 from repro.core import PowerMoveCompiler, PowerMoveConfig
 from repro.fidelity import evaluate_program
 from repro.schedule import validate_program
-from repro.verify.statevector import (
-    StateVector,
-    simulate_circuit,
-    simulate_program_gates,
-)
 
 FAST = AtomiqueConfig(seed=0, sa_iterations_per_qubit=10)
 FAST_ENOLA = EnolaConfig(seed=0, mis_restarts=2, sa_iterations_per_qubit=10)
 
 
-def permute_state(state: StateVector, mapping: dict[int, int]) -> StateVector:
+@pytest.fixture
+def statevector():
+    """The state-vector simulator module (skips without numpy)."""
+    pytest.importorskip("numpy")
+    from repro.verify import statevector
+
+    return statevector
+
+
+def permute_state(state, mapping: dict[int, int]):
     """Move logical qubit q's axis onto atom ``mapping[q]``'s axis."""
+    import numpy as np
+
     n = state.num_qubits
     psi = state.state.reshape([2] * n)
     # numpy axis k <-> qubit n-1-k.
     sources = [n - 1 - logical for logical in range(n)]
     targets = [n - 1 - mapping[logical] for logical in range(n)]
     psi = np.moveaxis(psi, sources, targets)
-    return StateVector(n, psi.reshape(-1))
+    return type(state)(n, psi.reshape(-1))
 
 
 class TestMechanics:
@@ -76,15 +81,17 @@ class TestSemantics:
     """Correct up to the final logical->atom permutation."""
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_equivalent_modulo_mapping(self, seed):
+    def test_equivalent_modulo_mapping(self, seed, statevector):
         qc = qaoa_regular(8, degree=3, seed=seed)
         native = transpile_to_native(qc)
         result = AtomiqueLikeCompiler(FAST).compile(qc)
         mapping = result.program.metadata["final_mapping"]
 
-        initial = StateVector.random(8, seed=seed + 10)
-        want = permute_state(simulate_circuit(native, initial), mapping)
-        got = simulate_program_gates(result.program, 8, initial)
+        initial = statevector.StateVector.random(8, seed=seed + 10)
+        want = permute_state(
+            statevector.simulate_circuit(native, initial), mapping
+        )
+        got = statevector.simulate_program_gates(result.program, 8, initial)
         assert want.fidelity_with(got) == pytest.approx(1.0)
 
     def test_identity_mapping_when_no_swaps(self):

@@ -342,6 +342,78 @@ class TestWirePayload:
         on_disk = (tmp_path / "store" / f"{key}.json").read_bytes()
         assert on_disk == payload
 
+    def test_get_sends_the_stored_bytes_without_reencoding(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.engine.cache as cache_module
+        import repro.engine.cachestore as cachestore_module
+
+        store = DiskCache(str(tmp_path / "store"))
+        key = _key("verbatim")
+        store.put(key, _text_doc("verbatim"))
+
+        def refuse(doc):
+            raise AssertionError("the server re-encoded a stored entry")
+
+        monkeypatch.setattr(cache_module, "encode_artifact", refuse)
+        monkeypatch.setattr(cachestore_module, "encode_artifact", refuse)
+        srv = RemoteCacheServer(store).start()
+        try:
+            url = f"{srv.url}/v1/cache/{key}"
+            with urllib.request.urlopen(url) as response:
+                payload = response.read()
+                digest = response.headers[DIGEST_HEADER]
+        finally:
+            srv.stop()
+        on_disk = (tmp_path / "store" / f"{key}.json").read_bytes()
+        assert payload == on_disk
+        assert digest == artifact_digest(on_disk)
+
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            b"{ torn",
+            b"[1, 2]\n{}",
+            b'{"compile_time": 1}\n\xff\xfe',
+            b"\xff\xfe{}",
+        ],
+        ids=["torn-header", "list-header", "not-utf8-program", "not-utf8"],
+    )
+    def test_foreign_entry_is_a_counted_404(self, tmp_path, stored):
+        store = DiskCache(str(tmp_path / "store"))
+        good, foreign, missing = _key("good"), _key("foreign"), _key("no")
+        store.put(good, _text_doc("good"))
+        (tmp_path / "store" / f"{foreign}.json").write_bytes(stored)
+        srv = RemoteCacheServer(store).start()
+        try:
+            statuses = []
+            for key in (good, foreign, missing):
+                try:
+                    with urllib.request.urlopen(
+                        f"{srv.url}/v1/cache/{key}"
+                    ) as response:
+                        statuses.append(response.status)
+                except urllib.error.HTTPError as err:
+                    statuses.append(err.status)
+        finally:
+            srv.stop()
+        assert statuses == [200, 404, 404]
+        assert (store.stats.hits, store.stats.misses) == (1, 2)
+
+    def test_get_encoded_is_the_codec_bytes_on_every_backend(
+        self, tmp_path
+    ):
+        key, doc = _key("encoded"), _text_doc("encoded")
+        # Non-ASCII program text takes the UTF-8 check's slow path.
+        wide_key, wide = _key("wide"), dict(doc, program='"é→"')
+        for cache in (MemoryCache(), DiskCache(str(tmp_path / "disk"))):
+            assert cache.get_encoded(key) is None
+            cache.put(key, doc)
+            cache.put(wide_key, wide)
+            assert cache.get_encoded(key) == encode_artifact(doc)
+            assert cache.get_encoded(wide_key) == encode_artifact(wide)
+            assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+
     @pytest.mark.parametrize(
         "damage",
         [

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
@@ -103,9 +104,19 @@ class TestTableCommands:
         assert "T_exe" in capsys.readouterr().out
 
     def test_verify_command(self, qasm_file, capsys):
+        pytest.importorskip("numpy")
         assert main(["verify", qasm_file]) == 0
         out = capsys.readouterr().out
         assert "overlap 1.0" in out
+
+    def test_verify_without_numpy_exits_2(
+        self, qasm_file, capsys, monkeypatch
+    ):
+        # A None entry makes importing the simulator module fail, as it
+        # does where numpy is not installed.
+        monkeypatch.setitem(sys.modules, "repro.verify.statevector", None)
+        assert main(["verify", qasm_file]) == 2
+        assert "needs numpy" in capsys.readouterr().err
 
     def test_profile_command(self, qasm_file, capsys):
         assert main(["profile", qasm_file]) == 0

@@ -11,6 +11,7 @@ instruction stream in one shot, against an independent simulator.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,10 @@ from repro.baselines import EnolaCompiler, EnolaConfig
 from repro.circuits import Circuit
 from repro.core import PowerMoveCompiler, PowerMoveConfig
 from repro.schedule import validate_program
-from repro.verify import verify_program_semantics
+
+pytest.importorskip("numpy")
+
+from repro.verify import verify_program_semantics  # noqa: E402 - numpy
 
 FAST_ENOLA = EnolaConfig(seed=0, mis_restarts=2, sa_iterations_per_qubit=5)
 

@@ -7,7 +7,6 @@ on every benchmark family.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.baselines import EnolaCompiler, EnolaConfig
@@ -21,13 +20,16 @@ from repro.circuits.generators import (
     vqe_linear_entanglement,
 )
 from repro.core import PowerMoveCompiler, PowerMoveConfig
-from repro.verify import (
+
+np = pytest.importorskip("numpy")
+
+from repro.verify import (  # noqa: E402 - needs numpy
     SimulationError,
     StateVector,
     simulate_circuit,
     verify_program_semantics,
 )
-from repro.verify.statevector import (
+from repro.verify.statevector import (  # noqa: E402 - needs numpy
     gate_matrix_1q,
     gate_matrix_2q,
 )
