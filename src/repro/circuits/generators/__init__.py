@@ -1,7 +1,7 @@
 """Benchmark circuit generators matching the paper's evaluation workloads."""
 
 from .bv import bernstein_vazirani, bv_secret
-from .qaoa import qaoa_random, qaoa_regular, random_regular_edges
+from .qaoa import qaoa_random, qaoa_regular
 from .qft import qft
 from .qsim import append_pauli_rotation, qsim_random, random_pauli_strings
 from .vqe import vqe_ansatz, vqe_full_entanglement, vqe_linear_entanglement
@@ -15,7 +15,6 @@ __all__ = [
     "qft",
     "qsim_random",
     "random_pauli_strings",
-    "random_regular_edges",
     "vqe_ansatz",
     "vqe_full_entanglement",
     "vqe_linear_entanglement",

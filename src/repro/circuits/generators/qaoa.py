@@ -186,4 +186,4 @@ def qaoa_random(
     )
 
 
-__all__ = ["qaoa_random", "qaoa_regular", "random_regular_edges"]
+__all__ = ["qaoa_random", "qaoa_regular"]

@@ -183,13 +183,15 @@ def encoded_artifact_size(doc: Any) -> int:
     return len(header) + 1 + len(program)
 
 
-def decode_artifact(data: bytes) -> dict[str, Any] | None:
-    """The artifact :func:`encode_artifact` wrote, or ``None``.
+def _parse_artifact(data: bytes, *, program: bool) -> dict[str, Any] | None:
+    """The one validity rule of encoded artifacts.
 
-    Parses line 1 as the header; the rest, if any, is ``program``,
-    decoded once and not parsed.  Bytes that are not UTF-8, a torn or
-    invalid header line and a header that is not a JSON object all
-    read as ``None`` -- a miss, never a crash on the hit path.
+    Returns the header object (plus ``program`` when ``program`` is
+    true), or ``None`` for bytes that are not UTF-8, a torn or invalid
+    header line, or a header that is not a JSON object.  With
+    ``program`` false the program text is not built; its UTF-8 is
+    checked by a decode only when the bytes are not all ASCII
+    (compiled programs are).
     """
     view = memoryview(data)
     end = data.find(b"\n")
@@ -197,31 +199,31 @@ def decode_artifact(data: bytes) -> dict[str, Any] | None:
         doc = json.loads(str(view if end < 0 else view[:end], "utf-8"))
         if not isinstance(doc, dict):
             return None
-        if end >= 0:
-            doc["program"] = str(view[end + 1:], "utf-8")
+        if end >= 0 and (program or not data.isascii()):
+            text = str(view[end + 1:], "utf-8")
+            if program:
+                doc["program"] = text
     except ValueError:  # UnicodeDecodeError or JSONDecodeError
         return None
     return doc
 
 
+def decode_artifact(data: bytes) -> dict[str, Any] | None:
+    """The artifact :func:`encode_artifact` wrote, or ``None``.
+
+    Parses line 1 as the header; the rest, if any, is ``program``,
+    decoded once and not parsed.  Bytes that are not an artifact (see
+    :func:`_parse_artifact`) read as ``None`` -- a miss, never a crash
+    on the hit path.
+    """
+    return _parse_artifact(data, program=True)
+
+
 def checked_artifact(data: bytes) -> bytes | None:
     """``data`` itself where :func:`decode_artifact` reads an artifact
     from it, else ``None``: the same verdict, without building the
-    program string.
-
-    Parses the header line only.  The program's UTF-8 is checked by a
-    decode only when the bytes are not all ASCII; compiled programs
-    are.
-    """
-    view = memoryview(data)
-    end = data.find(b"\n")
-    try:
-        header = json.loads(str(view if end < 0 else view[:end], "utf-8"))
-        if not isinstance(header, dict):
-            return None
-        if end >= 0 and not data.isascii():
-            str(view[end + 1:], "utf-8")
-    except ValueError:  # UnicodeDecodeError or JSONDecodeError
+    program string."""
+    if _parse_artifact(data, program=False) is None:
         return None
     return data
 
@@ -316,10 +318,7 @@ class ProgramCache:
 
     def get(self, key: str) -> dict[str, Any] | None:
         """Look up an artifact; ``None`` on miss."""
-        start = time.perf_counter()
-        doc = self._load(key)
-        self._count_lookup(time.perf_counter() - start, doc is not None)
-        return doc
+        return self._counted(lambda: self._load(key))
 
     def get_encoded(self, key: str) -> bytes | None:
         """:meth:`get`, as the artifact's :func:`encode_artifact` bytes
@@ -352,6 +351,14 @@ class ProgramCache:
             return None
         self._count_lookup(time.perf_counter() - start, True)
         return doc
+
+    def _counted(self, load: Callable[[], Any]) -> Any:
+        """``load()``, timed and counted as one lookup of this tier (a
+        hit unless it returns ``None``)."""
+        start = time.perf_counter()
+        found = load()
+        self._count_lookup(time.perf_counter() - start, found is not None)
+        return found
 
     def _count_lookup(self, duration: float, hit: bool) -> None:
         """Count one lookup and record its per-thread attribution."""
@@ -627,10 +634,7 @@ class DiskCache(ProgramCache):
         return self._read(key, decode_artifact)
 
     def get_encoded(self, key: str) -> bytes | None:
-        start = time.perf_counter()
-        data = self._read(key, checked_artifact)
-        self._count_lookup(time.perf_counter() - start, data is not None)
-        return data
+        return self._counted(lambda: self._read(key, checked_artifact))
 
     def _read(self, key: str, decode: Callable[[bytes], Any]) -> Any:
         """``decode`` of the entry's bytes, or ``None`` when the entry
@@ -798,7 +802,6 @@ __all__ = [
     "NullCache",
     "ProgramCache",
     "PruneReport",
-    "checked_artifact",
     "decode_artifact",
     "encode_artifact",
     "encoded_artifact_size",

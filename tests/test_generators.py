@@ -44,8 +44,9 @@ class TestQaoa:
             qaoa_regular(7, degree=3)
 
     def test_n_not_greater_than_degree_rejected(self):
-        with pytest.raises(ValueError):
-            qaoa_regular(3, degree=3)
+        # n * degree is even, so the range check is the one that fires.
+        with pytest.raises(ValueError, match="degree < n"):
+            qaoa_regular(4, degree=4)
 
     def test_random_probability_bounds(self):
         with pytest.raises(ValueError):

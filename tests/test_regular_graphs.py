@@ -18,7 +18,7 @@ import pytest
 
 import repro.circuits.generators.qaoa as qaoa
 from repro.benchsuite import SUITE
-from repro.circuits.generators import qaoa_regular, random_regular_edges
+from repro.circuits.generators.qaoa import qaoa_regular, random_regular_edges
 
 SMALL_N = range(4, 61)
 LARGE_N = (100, 1024, 4096)
