@@ -35,21 +35,18 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..hardware.geometry import Site, Zone, ZonedArchitecture
 from ..hardware.layout import Layout
 from ..hardware.moves import Move
 
-try:  # optional: vectorised site search (CI's minimal env lacks numpy)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the scalar fallback
-    _np = None
-
-#: Below this many zone sites the plain Python scan wins; above it the
-#: numpy pre-filter pays for itself.
-_VECTOR_MIN_SITES = 64
+#: Relative slack on the nearest-empty stopping rule: a row is skipped
+#: only when its |dy| exceeds the best distance by more than any
+#: ``math.hypot`` rounding could, so float error never stops the search
+#: before the exact winner is seen.
+_STOP_MARGIN = 1e-9
 
 
 class RoutingError(RuntimeError):
@@ -329,11 +326,9 @@ class _StagePlan:
         self._end_occ: dict[Site, set[int]] = {}
         for q in layout.qubits:
             self._end_occ.setdefault(layout.site_of(q), set()).add(q)
-        # Vectorised-search state, built lazily per zone on first use:
-        # a boolean planned-free mask aligned with sites_in(zone) and a
-        # site -> array-index map.  Kept in sync by depart()/arrive().
-        self._free_masks: dict[Zone, Any] = {}
-        self._site_pos: dict[Zone, dict[Site, int]] = {}
+        # Nearest-empty search index, built lazily per zone on first use
+        # and kept in sync by depart()/arrive().
+        self._free: dict[Zone, _FreeSites] = {}
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -384,28 +379,10 @@ class _StagePlan:
         return False
 
     def _mark_free(self, site: Site, free: bool) -> None:
-        """Sync the zone's planned-free mask, if it has been built."""
-        mask = self._free_masks.get(site.zone)
-        if mask is not None:
-            index = self._site_pos[site.zone].get(site)
-            if index is not None:
-                mask[index] = free
-
-    def _free_mask(self, zone: Zone):
-        """Boolean planned-free mask aligned with ``sites_in(zone)``."""
-        mask = self._free_masks.get(zone)
-        if mask is None:
-            sites = self.arch.sites_in(zone)
-            positions = {site: i for i, site in enumerate(sites)}
-            mask = _np.ones(len(sites), dtype=bool)
-            for site, occupants in self._end_occ.items():
-                if occupants and site.zone is zone:
-                    index = positions.get(site)
-                    if index is not None:
-                        mask[index] = False
-            self._site_pos[zone] = positions
-            self._free_masks[zone] = mask
-        return mask
+        """Sync the zone's search index, if it has been built."""
+        index = self._free.get(site.zone)
+        if index is not None:
+            index.mark(site, free)
 
     def nearest_empty(
         self, position: tuple[float, float], zone: Zone
@@ -413,45 +390,12 @@ class _StagePlan:
         """Closest planned-empty site of ``zone`` to ``position``.
 
         Euclidean distance; ties prefer the same column, then low row/col.
-
-        Large zones take a vectorised path: squared distances over the
-        architecture's cached coordinate arrays shrink the field to the
-        near-tie candidates, and the historical ``math.hypot`` key picks
-        among those -- so the winning site is bit-identical to the scalar
-        scan's, numpy or not.
         """
-        px, py = position
-        sites = self.arch.sites_in(zone)
-        arrays = (
-            self.arch.site_arrays(zone)
-            if _np is not None and len(sites) >= _VECTOR_MIN_SITES
-            else None
-        )
-        if arrays is not None:
-            xs, ys = arrays
-            dx = xs - px
-            dy = ys - py
-            dist_sq = dx * dx + dy * dy
-            dist_sq[~self._free_mask(zone)] = _np.inf
-            best_sq = dist_sq.min()
-            if not _np.isfinite(best_sq):
-                return None
-            # Keep every candidate whose squared distance could round to
-            # the same hypot as the minimum; exact keys decide below.
-            cutoff = best_sq * (1.0 + 1e-9)
-            candidates = _np.flatnonzero(dist_sq <= cutoff)
-            pool = [sites[int(i)] for i in candidates]
-        else:
-            pool = [s for s in sites if not self._end_occ.get(s)]
-        best_key: tuple | None = None
-        best_site: Site | None = None
-        for site in pool:
-            dist = math.hypot(site.x - px, site.y - py)
-            key = (dist, abs(site.x - px), site.row, site.col)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_site = site
-        return best_site
+        index = self._free.get(zone)
+        if index is None:
+            index = _FreeSites(self.arch, zone, self._end_occ)
+            self._free[zone] = index
+        return index.nearest(*position)
 
     # -- result ------------------------------------------------------------
 
@@ -465,6 +409,94 @@ class _StagePlan:
         return RoutedStage(
             moves=moves, labels=dict(self.labels), targets=dict(self.targets)
         )
+
+
+class _FreeSites:
+    """Planned-free sites of one zone, indexed for nearest-empty queries.
+
+    A zone is a regular grid: every site of a row shares its y and every
+    site of a column its x.  The index keeps one sorted list of free
+    columns per row.  A query visits rows in order of |dy| from the
+    query point; in each row a ``bisect`` finds the nearest free column
+    on either side, the only candidates that row can offer.  The search
+    stops at the first row whose |dy| exceeds the best distance so far,
+    since no site there or further out can be closer.
+
+    The winner minimises the key ``(hypot, |dx|, row, col)`` over the
+    same floats as a scan of every free site, so it is that scan's
+    winner exactly, at a cost of a few rows instead of the whole zone.
+    """
+
+    def __init__(
+        self,
+        architecture: ZonedArchitecture,
+        zone: Zone,
+        occupancy: dict[Site, set[int]],
+    ) -> None:
+        cols, rows = (
+            architecture.compute_shape
+            if zone is Zone.COMPUTE
+            else architecture.storage_shape
+        )
+        self._sites = architecture.sites_in(zone)
+        self._cols = cols
+        self._col_xs = [self._sites[c].x for c in range(cols)]
+        by_y = sorted((self._sites[r * cols].y, r) for r in range(rows))
+        self._ys = [y for y, _ in by_y]
+        self._rows = [r for _, r in by_y]
+        taken: list[set[int]] = [set() for _ in range(rows)]
+        for site, occupants in occupancy.items():
+            if occupants and site.zone is zone:
+                taken[site.row].add(site.col)
+        self._free_cols = [
+            [c for c in range(cols) if c not in row_taken]
+            for row_taken in taken
+        ]
+
+    def mark(self, site: Site, free: bool) -> None:
+        """Record that ``site`` became planned-free (or occupied)."""
+        cols = self._free_cols[site.row]
+        k = bisect_left(cols, site.col)
+        present = k < len(cols) and cols[k] == site.col
+        if free and not present:
+            cols.insert(k, site.col)
+        elif not free and present:
+            del cols[k]
+
+    def nearest(self, px: float, py: float) -> Site | None:
+        """The free site minimising ``(hypot, |dx|, row, col)``."""
+        ys, rows, col_xs = self._ys, self._rows, self._col_xs
+        free_cols = self._free_cols
+        split = bisect_left(col_xs, px)  # columns left of px: [0, split)
+        hi = bisect_left(ys, py)
+        lo = hi - 1
+        best_key: tuple | None = None
+        limit = math.inf
+        while lo >= 0 or hi < len(ys):
+            if hi >= len(ys) or (lo >= 0 and py - ys[lo] <= ys[hi] - py):
+                i = lo
+                lo -= 1
+            else:
+                i = hi
+                hi += 1
+            dy = ys[i] - py
+            if abs(dy) > limit:
+                break
+            row = rows[i]
+            cols = free_cols[row]
+            if not cols:
+                continue
+            k = bisect_left(cols, split)
+            for col in cols[k - 1:k + 1] if k else cols[:1]:
+                dx = col_xs[col] - px
+                key = (math.hypot(dx, dy), abs(dx), row, col)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    limit = key[0] * (1.0 + _STOP_MARGIN)
+        if best_key is None:
+            return None
+        _, _, row, col = best_key
+        return self._sites[row * self._cols + col]
 
 
 __all__ = [

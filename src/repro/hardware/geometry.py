@@ -19,11 +19,6 @@ from enum import Enum
 
 from .params import DEFAULT_PARAMS, HardwareParams, UM
 
-try:  # optional: vectorised coordinate queries (CI's minimal env lacks it)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the scalar fallback
-    _np = None
-
 
 class Zone(str, Enum):
     """The two functional zones of the architecture."""
@@ -102,25 +97,24 @@ class ZonedArchitecture:
         self._storage_cols = storage_cols
         self._storage_rows = storage_rows
 
+        # Site tuples are built once: the architecture is immutable, and
+        # the accessors below hand out the same tuple on every call.
         pitch = params.site_pitch
         gap = params.zone_gap
-        self._compute_sites: list[Site] = []
-        for row in range(compute_rows):
-            for col in range(compute_cols):
-                self._compute_sites.append(
-                    Site(Zone.COMPUTE, col, row, col * pitch, gap + row * pitch)
-                )
-        self._storage_sites: list[Site] = []
-        for row in range(storage_rows):
-            for col in range(storage_cols):
-                self._storage_sites.append(
-                    Site(Zone.STORAGE, col, row, col * pitch, -row * pitch)
-                )
+        self._compute_sites: tuple[Site, ...] = tuple(
+            Site(Zone.COMPUTE, col, row, col * pitch, gap + row * pitch)
+            for row in range(compute_rows)
+            for col in range(compute_cols)
+        )
+        self._storage_sites: tuple[Site, ...] = tuple(
+            Site(Zone.STORAGE, col, row, col * pitch, -row * pitch)
+            for row in range(storage_rows)
+            for col in range(storage_cols)
+        )
+        self._all_sites = self._compute_sites + self._storage_sites
         self._index: dict[tuple[Zone, int, int], Site] = {
-            (s.zone, s.col, s.row): s
-            for s in self._compute_sites + self._storage_sites
+            (s.zone, s.col, s.row): s for s in self._all_sites
         }
-        self._site_arrays: dict[Zone, tuple] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -170,17 +164,17 @@ class ZonedArchitecture:
     @property
     def compute_sites(self) -> tuple[Site, ...]:
         """All computation-zone sites (row-major from the bottom row)."""
-        return tuple(self._compute_sites)
+        return self._compute_sites
 
     @property
     def storage_sites(self) -> tuple[Site, ...]:
         """All storage-zone sites (row 0 nearest the computation zone)."""
-        return tuple(self._storage_sites)
+        return self._storage_sites
 
     @property
     def all_sites(self) -> tuple[Site, ...]:
         """Every site of the machine."""
-        return tuple(self._compute_sites + self._storage_sites)
+        return self._all_sites
 
     @property
     def num_sites(self) -> int:
@@ -213,27 +207,6 @@ class ZonedArchitecture:
     def contains(self, site: Site) -> bool:
         """True when ``site`` belongs to this machine."""
         return self._index.get((site.zone, site.col, site.row)) == site
-
-    def site_arrays(self, zone: Zone):
-        """Per-zone site coordinates as ``(xs, ys)`` numpy arrays.
-
-        Aligned with :meth:`sites_in` order and cached on the (immutable)
-        architecture, so batch geometry such as the router's
-        nearest-empty-site search can run as array math instead of a
-        per-site Python loop.  Returns ``None`` when numpy is not
-        installed -- callers must keep a scalar fallback.
-        """
-        if _np is None:
-            return None
-        cached = self._site_arrays.get(zone)
-        if cached is None:
-            sites = self.sites_in(zone)
-            cached = (
-                _np.array([s.x for s in sites], dtype=float),
-                _np.array([s.y for s in sites], dtype=float),
-            )
-            self._site_arrays[zone] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Extents (for the Table 2 reproduction)

@@ -33,11 +33,6 @@ from dataclasses import dataclass
 from .moves import CollMove, Move
 from .params import HardwareParams
 
-try:  # optional: batch sampling (CI's minimal env lacks numpy)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the scalar fallback
-    _np = None
-
 
 @dataclass(frozen=True)
 class ProfileSample:
@@ -102,32 +97,13 @@ class BangBangProfile:
             return a * t
         return a * (total - t)
 
-    def positions_at(self, times):
-        """Batch :meth:`position_at` over an array of times.
+    def positions_at(self, times) -> list[float]:
+        """:meth:`position_at` at each of ``times``."""
+        return [self.position_at(t) for t in times]
 
-        Array math under numpy, a scalar loop otherwise; both evaluate
-        the same clamped piecewise formula.
-        """
-        if _np is None:
-            return [self.position_at(t) for t in times]
-        total = self.duration
-        t = _np.clip(_np.asarray(times, dtype=float), 0.0, total)
-        a = self.acceleration
-        remaining = total - t
-        return _np.where(
-            t <= total / 2.0,
-            0.5 * a * t * t,
-            self.distance - 0.5 * a * remaining * remaining,
-        )
-
-    def velocities_at(self, times):
-        """Batch :meth:`velocity_at` over an array of times."""
-        if _np is None:
-            return [self.velocity_at(t) for t in times]
-        total = self.duration
-        t = _np.clip(_np.asarray(times, dtype=float), 0.0, total)
-        a = self.acceleration
-        return _np.where(t <= total / 2.0, a * t, a * (total - t))
+    def velocities_at(self, times) -> list[float]:
+        """:meth:`velocity_at` at each of ``times``."""
+        return [self.velocity_at(t) for t in times]
 
 
 class PaperProfile:
@@ -186,56 +162,31 @@ class PaperProfile:
         tau = min(max(t / total, 0.0), 1.0)
         return (self.distance / total) * (1.0 - math.cos(2.0 * math.pi * tau))
 
-    def positions_at(self, times):
-        """Batch :meth:`position_at` over an array of times."""
-        if _np is None:
-            return [self.position_at(t) for t in times]
-        total = self.duration
-        if total == 0.0:
-            return _np.zeros(len(times), dtype=float)
-        tau = _np.clip(_np.asarray(times, dtype=float) / total, 0.0, 1.0)
-        two_pi = 2.0 * math.pi
-        return self.distance * (tau - _np.sin(two_pi * tau) / two_pi)
+    def positions_at(self, times) -> list[float]:
+        """:meth:`position_at` at each of ``times``."""
+        return [self.position_at(t) for t in times]
 
-    def velocities_at(self, times):
-        """Batch :meth:`velocity_at` over an array of times."""
-        if _np is None:
-            return [self.velocity_at(t) for t in times]
-        total = self.duration
-        if total == 0.0:
-            return _np.zeros(len(times), dtype=float)
-        tau = _np.clip(_np.asarray(times, dtype=float) / total, 0.0, 1.0)
-        return (self.distance / total) * (
-            1.0 - _np.cos(2.0 * math.pi * tau)
-        )
+    def velocities_at(self, times) -> list[float]:
+        """:meth:`velocity_at` at each of ``times``."""
+        return [self.velocity_at(t) for t in times]
 
 
-def _sample_times(total: float, num_samples: int):
+def _sample_times(total: float, num_samples: int) -> list[float]:
     """``num_samples`` equally spaced times over ``[0, total]``."""
-    if _np is not None:
-        return total * _np.arange(num_samples, dtype=float) / (
-            num_samples - 1
-        )
     return [total * i / (num_samples - 1) for i in range(num_samples)]
 
 
 def sample_profile(
     profile, num_samples: int = 51
 ) -> list[ProfileSample]:
-    """Sample a profile into ``num_samples`` equally spaced waypoints.
-
-    The scalar entry point is unchanged; internally the profile is
-    evaluated in one batch (``positions_at`` / ``velocities_at``) so
-    sampling many waypoints costs array math, not a Python loop.
-    """
+    """Sample a profile into ``num_samples`` equally spaced waypoints."""
     if num_samples < 2:
         raise ValueError("need at least two samples")
     times = _sample_times(profile.duration, num_samples)
     positions = profile.positions_at(times)
     velocities = profile.velocities_at(times)
     return [
-        ProfileSample(float(t), float(p), float(v))
-        for t, p, v in zip(times, positions, velocities)
+        ProfileSample(t, p, v) for t, p, v in zip(times, positions, velocities)
     ]
 
 
@@ -276,25 +227,11 @@ def _project_waveform(
     move: Move, profile: PaperProfile, own_times, shared_times
 ) -> MoveWaveform:
     """Project path samples at ``own_times`` onto the straight segment,
-    stamped with ``shared_times`` (batch math under numpy)."""
+    stamped with ``shared_times``."""
     distance = move.distance
     x0, y0 = move.source.position
     x1, y1 = move.destination.position
     positions = profile.positions_at(own_times)
-    if _np is not None:
-        frac = (
-            _np.zeros(len(positions))
-            if distance == 0.0
-            else positions / distance
-        )
-        xs = x0 + frac * (x1 - x0)
-        ys = y0 + frac * (y1 - y0)
-        return MoveWaveform(
-            move.qubit,
-            tuple(float(t) for t in shared_times),
-            tuple(float(x) for x in xs),
-            tuple(float(y) for y in ys),
-        )
     times, xs, ys = [], [], []
     for t_shared, position in zip(shared_times, positions):
         frac = 0.0 if distance == 0.0 else position / distance
@@ -325,8 +262,6 @@ def coll_move_waveforms(
         # Uniform time dilation onto the shared clock.
         if total == 0.0:
             own_times = _sample_times(0.0, num_samples)
-        elif _np is not None:
-            own_times = own * (shared_times / total)
         else:
             own_times = [own * (t / total) for t in shared_times]
         waveforms.append(

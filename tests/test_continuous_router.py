@@ -1,6 +1,10 @@
 """Unit tests for the Continuous Router (Sec. 5)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,41 +238,6 @@ class TestDeterminismAndSeeding:
         assert layout.as_dict() == snapshot
 
 
-class TestScalarVectorEquivalence:
-    """The numpy fast path must be bit-identical to the scalar loops.
-
-    When numpy is absent both runs take the scalar path and the test
-    degenerates to determinism -- still a valid (weaker) check, and
-    exactly what tier-1 CI without numpy exercises.
-    """
-
-    def test_program_digest_identical_without_numpy(self, monkeypatch):
-        import repro.core.continuous_router as cr
-        import repro.hardware.geometry as geo
-        import repro.hardware.kinematics as kin
-        from repro.circuits.generators import qaoa_regular
-        from repro.pipeline.registry import create_compiler, get_backend
-        from repro.schedule.serialize import program_digest
-
-        # Large enough that compute-zone site counts clear the
-        # router's vectorization threshold when numpy is present.
-        circuit = qaoa_regular(150, degree=3, seed=0)
-        digests = {}
-        for mode in ("default", "scalar"):
-            if mode == "scalar":
-                monkeypatch.setattr(cr, "_np", None)
-                monkeypatch.setattr(geo, "_np", None)
-                monkeypatch.setattr(kin, "_np", None)
-            spec = get_backend("powermove")
-            compiler = create_compiler(
-                "powermove", spec.effective_config(None, 0, 1)
-            )
-            digests[mode] = program_digest(
-                compiler.compile(circuit).program
-            )
-        assert digests["default"] == digests["scalar"]
-
-
 class TestMultiStageProgression:
     def test_consecutive_stages_consistent(self, arch):
         """Drive several stages and check invariants after each."""
@@ -298,3 +267,40 @@ class TestMultiStageProgression:
             routed = router.route_stage(layout, pairs)
             layout.apply_moves(routed.moves)
             assert_stage_realised(layout, pairs, use_storage=False)
+
+
+NUMPY_FREE_SCRIPT = """
+import sys
+
+import repro.service.server
+from repro.engine import CompilationEngine, CompileJob
+from repro.hardware import coll_move_waveforms
+
+[result] = CompilationEngine().run(
+    [CompileJob(backend="powermove", benchmark="QAOA-regular3-100")]
+)
+assert result.error is None, result.error
+program = result.program
+arch = program.architecture
+assert min(len(arch.compute_sites), len(arch.storage_sites)) >= 64
+coll_move = program.move_batches[0].coll_moves[0]
+assert coll_move_waveforms(coll_move, arch.params)
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_compile_path_never_imports_numpy():
+    """The daemon, a powermove compile over zones of 64+ sites and the
+    waveform sampler all run without loading numpy, even where it is
+    installed (only ``repro verify`` needs it)."""
+    pytest.importorskip("numpy")  # where it is absent, nothing can load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -62,9 +62,8 @@ class TestBangBang:
 class TestBatchSampling:
     """The batch entry points agree with the scalar ones exactly.
 
-    positions_at/velocities_at are the vectorized contract: same
-    floating-point results as position_at/velocity_at at every sample
-    time, numpy present or not.
+    positions_at/velocities_at return the same floating-point results
+    as position_at/velocity_at at every sample time.
     """
 
     @pytest.mark.parametrize(
@@ -85,16 +84,6 @@ class TestBatchSampling:
         for t, p, v in zip(times, positions, velocities):
             assert float(p) == profile.position_at(t)
             assert float(v) == profile.velocity_at(t)
-
-    def test_batch_matches_scalar_without_numpy(self, monkeypatch):
-        import repro.hardware.kinematics as kin
-
-        profile = PaperProfile(27.5 * UM, 2750.0)
-        times = [profile.duration * i / 8.0 for i in range(9)]
-        with_np = [float(p) for p in profile.positions_at(times)]
-        monkeypatch.setattr(kin, "_np", None)
-        without_np = [float(p) for p in profile.positions_at(times)]
-        assert with_np == without_np
 
 
 class TestPaperProfile:
