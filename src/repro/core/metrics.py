@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..fidelity.timeline import simulate_timeline
 from ..schedule.program import NAProgram
+from ..schedule.validator import simulate_timeline
 
 
 @dataclass(frozen=True)

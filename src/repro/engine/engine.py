@@ -829,7 +829,10 @@ class CompilationEngine:
                 if circuit is not None and preserves
                 else None
             )
-            validate_program(result.program, source_circuit=source)
+            report = validate_program(result.program, source_circuit=source)
+            result._fidelity = FidelityModel(job.params).from_timeline(
+                report.timeline
+            )
             # The records read the stored summary, so an unchecked entry
             # must prove it describes the program it carries.
             if result_summary(result.program, result.fidelity) != (

@@ -406,9 +406,11 @@ def execute_job_on_circuit(
 
     The program travels as one JSON string: it parses far faster than
     the nested document, and a result record never parses it at all --
-    it reads ``summary``, the fidelity replay of the program just
-    compiled (on the pool path, computed in the worker).  ``params`` is
-    part of the cache key, so the summary is a pure function of it.
+    it reads ``summary``, the fidelity of the program just compiled (on
+    the pool path, computed in the worker).  A validating job scores the
+    timeline of its validation walk, so the program is replayed once
+    either way.  ``params`` is part of the cache key, so the summary is
+    a pure function of it.
 
     ``pass_spans`` are this compile's real per-pass offsets (relative
     to compile start) -- measurement of *this* run, not content; the
@@ -420,17 +422,14 @@ def execute_job_on_circuit(
         circuit, arch=job.arch, strategies=job.strategies_map
     )
     program = compilation.program
+    model = FidelityModel(job.params)
     if job.validate:
-        spec = REGISTRY.get(job.backend_name)
-        validate_program(
-            program,
-            source_circuit=(
-                compilation.native_circuit
-                if spec.preserves_gate_stream
-                else None
-            ),
-        )
-    report = FidelityModel(job.params).evaluate(program)
+        preserves = REGISTRY.get(job.backend_name).preserves_gate_stream
+        source = compilation.native_circuit if preserves else None
+        timeline = validate_program(program, source_circuit=source).timeline
+        report = model.from_timeline(timeline)
+    else:
+        report = model.evaluate(program)
     return {
         "program": json.dumps(program_to_dict(program)),
         "summary": result_summary(program, report),

@@ -1,5 +1,6 @@
 """Fidelity and execution-time analysis (paper Sec. 2.2, Eq. 1)."""
 
+from ..schedule.validator import ExecutionTimeline, simulate_timeline
 from .model import (
     COMPONENT_NAMES,
     FidelityModel,
@@ -11,7 +12,6 @@ from .montecarlo import (
     crosscheck_fidelity,
     sample_program_fidelity,
 )
-from .timeline import ExecutionTimeline, simulate_timeline
 
 __all__ = [
     "COMPONENT_NAMES",

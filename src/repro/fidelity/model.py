@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
 from ..schedule.program import NAProgram
-from .timeline import ExecutionTimeline, simulate_timeline
+from ..schedule.validator import ExecutionTimeline, simulate_timeline
 
 #: Order in which Fig. 6 stacks the fidelity components.
 COMPONENT_NAMES = ("two_qubit", "excitation", "transfer", "decoherence")

@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 from ..schedule.program import NAProgram
+from ..schedule.validator import ExecutionTimeline, simulate_timeline
 from ..utils.rng import make_rng
 from .model import FidelityModel
-from .timeline import ExecutionTimeline, simulate_timeline
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""Structural validation of compiled NAQC programs.
+"""One replay of a compiled NAQC program: validation and the Eq. (1) timeline.
 
-The validator replays a program against its machine and checks every
-physical constraint the paper's hardware model imposes:
+:func:`validate_program` replays a program against its machine and checks
+every physical constraint the paper's hardware model imposes:
 
 * AOD order preservation inside each CollMove (Fig. 5 conflict rule);
 * at most one CollMove per AOD array per batch, distinct AOD indices, and
@@ -19,14 +19,22 @@ Site capacity is deliberately *not* checked between batches of one layout
 transition: while a transition is in flight a destination may be reached
 before its previous tenant departs (see :mod:`repro.schedule.tracker`).
 
-Both compilers run their outputs through ``validate_program`` in tests, so
-any scheduling bug that breaks physics fails loudly.
+The same walk accumulates the inputs of the paper's fidelity formula
+(Eq. 1), an :class:`ExecutionTimeline`.  A qubit's decoherence exposure
+``T_q`` is the wall-clock time it spends neither in the storage zone nor
+being gated: movement and transfers count (the qubit is in flight),
+storage dwell does not (Sec. 2.2).  A passing report carries the timeline,
+so a caller that validates a program -- the engine does for every job
+unless it opts out -- scores it without a second replay;
+:func:`simulate_timeline` is the same walk with the checks off.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from ..circuits.circuit import Circuit
 from ..circuits.gates import Gate
@@ -42,18 +50,48 @@ class ValidationError(AssertionError):
 
 
 @dataclass
+class ExecutionTimeline:
+    """Aggregates produced by replaying a program.
+
+    Attributes:
+        total_time: Execution time ``T_exe`` in seconds.
+        exposure: Per-qubit decoherence exposure ``T_q`` in seconds.
+        num_one_qubit_gates: ``g1``.
+        num_two_qubit_gates: ``g2``.
+        num_transfers: ``N_trans``.
+        idle_excitations: ``sum_i n_i`` across all Rydberg stages.
+        idle_per_stage: ``n_i`` for each stage, in order.
+        num_stages: Number of Rydberg excitations ``S``.
+        move_time: Seconds spent in movement batches (incl. transfers).
+        storage_dwell: Per-qubit seconds protected in the storage zone.
+    """
+
+    total_time: float = 0.0
+    exposure: dict[int, float] = field(default_factory=dict)
+    num_one_qubit_gates: int = 0
+    num_two_qubit_gates: int = 0
+    num_transfers: int = 0
+    idle_excitations: int = 0
+    idle_per_stage: list[int] = field(default_factory=list)
+    num_stages: int = 0
+    move_time: float = 0.0
+    storage_dwell: dict[int, float] = field(default_factory=dict)
+
+
+@dataclass
 class ValidationReport:
     """Outcome of a validation run.
 
     Attributes:
         ok: True when no violations were found.
         errors: Human-readable violation descriptions (empty when ok).
-        num_instructions_checked: Instructions examined.
+        timeline: The walk's :class:`ExecutionTimeline`; ``None`` unless
+            ``ok``.
     """
 
     ok: bool = True
     errors: list[str] = field(default_factory=list)
-    num_instructions_checked: int = 0
+    timeline: ExecutionTimeline | None = None
 
     def fail(self, message: str) -> None:
         """Record one violation."""
@@ -164,6 +202,136 @@ def _check_rydberg_stage(
             )
 
 
+def _walk(
+    program: NAProgram, report: ValidationReport | None
+) -> ExecutionTimeline:
+    """Replay ``program`` once and accumulate its Eq. (1) inputs.
+
+    With a ``report``, every hardware check of the module docstring runs
+    in the same pass and a bad move or an unknown instruction is recorded
+    there; without one nothing is checked and they raise
+    (:class:`TrackerError`, ``TypeError``).  The tracker applies a batch
+    whole or not at all, so a recorded bad batch charges no mover.
+
+    Per instruction, every tracked qubit is charged one term: a qubit
+    pulsed in a 1Q layer gets ``duration - pulses * duration_1q``, a
+    mover gets the batch duration as exposure, an interacting qubit of a
+    Rydberg stage gets nothing, and every other (*resting*) qubit gets
+    the duration -- as storage dwell when parked in storage, as exposure
+    otherwise.  Only moves change zones, so a resting qubit's charges
+    between two instructions that touch it are a run of consecutive
+    durations into one bucket.  Work per instruction is therefore only
+    for the qubits it touches: each remembers its bucket and its first
+    uncharged instruction, and the pending run is charged when it is next
+    touched (and at the end) as the left fold ``reduce(add,
+    durations[start:k], acc)``.  That fold performs exactly the ``acc +
+    d`` additions of a per-qubit, per-instruction loop, in the same
+    order, so every float -- and Eq. (1) -- is bit-identical to it.
+    Prefix sums, ``math.fsum``, numpy and the built-in ``sum`` round
+    differently (``sum`` of floats is compensated on Python >= 3.12).
+    """
+    params = program.architecture.params
+    tracker = PositionTracker.from_layout(program.initial_layout)
+    timeline = ExecutionTimeline()
+    qubits = tracker.qubits
+    exposure = timeline.exposure = {q: 0.0 for q in qubits}
+    dwell = timeline.storage_dwell = {q: 0.0 for q in qubits}
+    bucket = {
+        q: dwell if tracker.zone_of(q) is Zone.STORAGE else exposure
+        for q in qubits
+    }
+    start = dict.fromkeys(qubits, 0)
+    exposed = sum(b is exposure for b in bucket.values())
+    durations: list[float] = []
+
+    def settle(q: int, k: int) -> dict[int, float]:
+        """Charge ``q``'s resting run before instruction ``k``; its bucket."""
+        b = bucket[q]
+        if start[q] < k:
+            b[q] = reduce(add, durations[start[q]:k], b[q])
+        start[q] = k + 1
+        return b
+
+    for k, instr in enumerate(program.instructions):
+        if isinstance(instr, OneQubitLayer):
+            if report is not None:
+                for gate in instr.gates:
+                    if gate.is_two_qubit:
+                        report.fail(
+                            f"instr {k}: two-qubit gate {gate} in 1Q layer"
+                        )
+            duration = instr.duration(params)
+            for q, count in instr.pulse_counts().items():
+                if q in bucket:
+                    settle(q, k)[q] += duration - count * params.duration_1q
+            timeline.total_time += duration
+            timeline.num_one_qubit_gates += instr.num_gates
+        elif isinstance(instr, MoveBatch):
+            if report is not None:
+                _check_move_batch(report, program, k, instr)
+            duration = instr.duration(params)
+            moves = instr.all_moves
+            # Validates sources and duplicate movers before any charge.
+            try:
+                tracker.apply_moves(moves)
+            except TrackerError as exc:
+                if report is None:
+                    raise
+                report.fail(f"instr {k}: replay failed: {exc}")
+                moves = []
+            # Movers are in flight for the full batch: exposed regardless of
+            # their start/end zone.  Resting qubits are protected iff parked
+            # in storage.
+            for move in moves:
+                q = move.qubit
+                if settle(q, k) is exposure:
+                    exposed -= 1
+                exposure[q] += duration
+                if move.destination.zone is Zone.STORAGE:
+                    bucket[q] = dwell
+                else:
+                    bucket[q] = exposure
+                    exposed += 1
+            timeline.total_time += duration
+            timeline.move_time += duration
+            timeline.num_transfers += instr.num_transfers
+        elif isinstance(instr, RydbergStage):
+            if report is not None:
+                _check_rydberg_stage(report, k, instr, tracker)
+            duration = instr.duration(params)
+            idle_here = exposed
+            for q in instr.interacting_qubits():
+                if q in bucket and settle(q, k) is exposure:
+                    idle_here -= 1
+            timeline.total_time += duration
+            timeline.num_stages += 1
+            timeline.num_two_qubit_gates += instr.num_gates
+            timeline.idle_excitations += idle_here
+            timeline.idle_per_stage.append(idle_here)
+        elif report is None:
+            raise TypeError(f"unknown instruction {instr!r}")
+        else:
+            report.fail(f"instr {k}: unknown instruction {instr!r}")
+            duration = 0.0
+        durations.append(duration)
+
+    end = len(durations)
+    for q in qubits:
+        settle(q, end)
+    if report is not None:
+        for site, tenants in tracker.occupancy().items():
+            if len(tenants) > 2:
+                report.fail(
+                    f"final layout: site {site} holds {len(tenants)} qubits"
+                )
+    return timeline
+
+
+def simulate_timeline(program: NAProgram) -> ExecutionTimeline:
+    """Replay ``program`` without checks and accumulate the Eq. (1) inputs."""
+    return _walk(program, None)
+
+
 def validate_program(
     program: NAProgram,
     source_circuit: Circuit | None = None,
@@ -179,35 +347,11 @@ def validate_program(
             a failing report.
 
     Returns:
-        The :class:`ValidationReport` (always ``ok`` if ``raise_on_error``).
+        The :class:`ValidationReport` (always ``ok`` if ``raise_on_error``);
+        an ``ok`` report carries the replay's timeline.
     """
     report = ValidationReport()
-    tracker = PositionTracker.from_layout(program.initial_layout)
-
-    for index, instr in enumerate(program.instructions):
-        report.num_instructions_checked += 1
-        if isinstance(instr, OneQubitLayer):
-            for gate in instr.gates:
-                if gate.is_two_qubit:
-                    report.fail(
-                        f"instr {index}: two-qubit gate {gate} in 1Q layer"
-                    )
-        elif isinstance(instr, MoveBatch):
-            _check_move_batch(report, program, index, instr)
-            try:
-                tracker.apply_moves(instr.all_moves)
-            except TrackerError as exc:
-                report.fail(f"instr {index}: replay failed: {exc}")
-        elif isinstance(instr, RydbergStage):
-            _check_rydberg_stage(report, index, instr, tracker)
-        else:  # pragma: no cover - defensive
-            report.fail(f"instr {index}: unknown instruction {instr!r}")
-
-    for site, tenants in tracker.occupancy().items():
-        if len(tenants) > 2:
-            report.fail(
-                f"final layout: site {site} holds {len(tenants)} qubits"
-            )
+    timeline = _walk(program, report)
 
     if source_circuit is not None:
         expected_2q = Counter(
@@ -236,9 +380,17 @@ def validate_program(
         if expected_1q != executed_1q:
             report.fail("1Q gate multiset mismatch against source circuit")
 
+    if report.ok:
+        report.timeline = timeline
     if raise_on_error:
         report.raise_if_failed()
     return report
 
 
-__all__ = ["ValidationError", "ValidationReport", "validate_program"]
+__all__ = [
+    "ExecutionTimeline",
+    "ValidationError",
+    "ValidationReport",
+    "simulate_timeline",
+    "validate_program",
+]

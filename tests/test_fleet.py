@@ -19,6 +19,7 @@ from repro.engine import (
     parse_manifest,
     results_doc,
 )
+from repro.engine.cache import job_cache_key
 from repro.engine.jobs import execute_job_on_circuit
 from repro.service import (
     AuthError,
@@ -69,6 +70,29 @@ def start_daemon(tmp_path, name, **kwargs):
         str(tmp_path / name), "127.0.0.1:0", **kwargs
     )
     return server.start()
+
+
+def start_split_pair(tmp_path, cache_keys):
+    """Two daemons whose rendezvous ranking splits ``cache_keys``.
+
+    Daemons listen on random ports, and the ranking hashes the
+    addresses, so a pair may rank every key to one daemon (about one
+    pair in 32 for six keys).  Daemon b is restarted on a fresh port
+    until the keys split.  Returns both daemons and ``{address: number
+    of keys it wins}``.
+    """
+    daemon_a = start_daemon(tmp_path, "a")
+    for attempt in range(20):
+        daemon_b = start_daemon(tmp_path, f"b{attempt}")
+        addresses = [daemon_a.address, daemon_b.address]
+        wins = dict.fromkeys(addresses, 0)
+        for key in cache_keys:
+            wins[rendezvous_rank(addresses, key)[0]] += 1
+        if all(wins.values()):
+            return daemon_a, daemon_b, wins
+        stop_all(daemon_b)
+    stop_all(daemon_a)
+    pytest.fail("no port pair split the keys in 20 tries")
 
 
 def start_coordinator(daemon_addresses, **kwargs):
@@ -146,8 +170,10 @@ class TestFleet:
     def test_affinity_doc_equality_and_warm_resubmission(
         self, tmp_path
     ):
-        daemon_a = start_daemon(tmp_path, "a")
-        daemon_b = start_daemon(tmp_path, "b")
+        daemon_a, daemon_b, expected = start_split_pair(
+            tmp_path,
+            [job_cache_key(job) for job in parse_manifest(FLEET_MANIFEST)],
+        )
         # steal_batch=0: placement stays pure affinity, so the second
         # run's placements are exactly reproducible.
         coordinator = start_coordinator(
@@ -171,6 +197,9 @@ class TestFleet:
             }
             assert sum(placements.values()) == 6
             assert all(count > 0 for count in placements.values())
+            # Six jobs stay under the spill depth, so each lands on its
+            # rendezvous winner.
+            assert placements == expected
 
             # Identical resubmission: same cache keys, same rendezvous
             # winners -- every job returns to the daemon whose cache

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import Circuit, partition_into_blocks
 from repro.core.stage_scheduler import partition_stages
-from repro.fidelity import FidelityModel
-from repro.fidelity.timeline import ExecutionTimeline
+from repro.fidelity import ExecutionTimeline, FidelityModel
 from repro.hardware import (
     DEFAULT_PARAMS,
     HardwareParams,

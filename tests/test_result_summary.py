@@ -40,6 +40,7 @@ from repro.schedule.serialize import (
     program_from_dict,
     program_to_dict,
 )
+from repro.schedule.tracker import PositionTracker
 from repro.schedule.validator import ValidationError
 from repro.service import ServiceClient, ServiceServer
 
@@ -115,24 +116,31 @@ def golden_job(backend, workload, seed):
 
 
 class SpyCalls:
-    """Counts program builds and fidelity replays in this process."""
+    """Counts program builds and program replays in this process.
+
+    A replay is one walk over a program: validation with its Eq. (1)
+    timeline, or ``FidelityModel.evaluate``.  Each walk builds one
+    ``PositionTracker``.
+    """
 
     def __init__(self, monkeypatch):
         self.builds = 0
         self.replays = 0
         real_build = engine_module.program_from_dict
-        real_evaluate = FidelityModel.evaluate
+        real_tracker = PositionTracker.from_layout.__func__
 
         def build(doc):
             self.builds += 1
             return real_build(doc)
 
-        def evaluate(model, program):
+        def from_layout(cls, layout):
             self.replays += 1
-            return real_evaluate(model, program)
+            return real_tracker(cls, layout)
 
         monkeypatch.setattr(engine_module, "program_from_dict", build)
-        monkeypatch.setattr(FidelityModel, "evaluate", evaluate)
+        monkeypatch.setattr(
+            PositionTracker, "from_layout", classmethod(from_layout)
+        )
 
     def reset(self):
         self.builds = self.replays = 0

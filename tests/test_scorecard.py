@@ -1,5 +1,7 @@
 """Tests for the reproduction scorecard."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import run_benchmark, run_scorecard, score_row
@@ -22,7 +24,23 @@ class TestScoreRow:
         assert score.total == len(CHECK_NAMES)
 
     def test_bv14_passes_all_shapes(self, bv14_result):
-        score = score_row(bv14_result)
+        # Each compiler takes ~1 ms on BV-14, so one wall-clock sample
+        # can flip tcomp_direction: score the best of five compiles.
+        runs = [bv14_result] + [
+            run_benchmark(SUITE["BV-14"], seed=0, enola_config=FAST)
+            for _ in range(4)
+        ]
+        best = replace(
+            bv14_result,
+            scenarios={
+                name: replace(
+                    scenario,
+                    compile_time=min(r[name].compile_time for r in runs),
+                )
+                for name, scenario in bv14_result.scenarios.items()
+            },
+        )
+        score = score_row(best)
         assert score.passed == score.total, score.checks
 
     def test_magnitude_tolerance_zero_can_fail(self, bv14_result):
