@@ -232,6 +232,23 @@ def _add_cache_options(
     )
 
 
+def _add_client_options(parser: argparse.ArgumentParser) -> None:
+    """The --connect / --token pair of every service client command."""
+    parser.add_argument(
+        "--connect",
+        required=True,
+        metavar="ADDR",
+        help="address of the running service (host:port or socket path)",
+    )
+    parser.add_argument(
+        "--token",
+        default=None,
+        metavar="TOKEN",
+        help="bearer token for a tenanted service (defaults to the "
+        "REPRO_TOKEN environment variable)",
+    )
+
+
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
@@ -1314,7 +1331,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["raise", "collect"],
         default="raise",
         help="failure policy: 'raise' aborts on the first failing job "
-        "(cancelling pending work), 'collect' records it and finishes "
+        "(starting no further work), 'collect' records it and finishes "
         "the rest (default: raise)",
     )
     p_batch.add_argument(
@@ -1491,21 +1508,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tenants.set_defaults(func=_cmd_tenants)
 
-    connect_help = "address of the running service (host:port or socket path)"
-
-    token_help = (
-        "bearer token for a tenanted service (defaults to the "
-        "REPRO_TOKEN environment variable)"
-    )
-
     p_loadgen = sub.add_parser(
         "loadgen",
         help="drive a daemon or coordinator with synthetic traffic "
         "and report p50/p95/p99 latency",
     )
-    p_loadgen.add_argument(
-        "--connect", required=True, metavar="ADDR", help=connect_help
-    )
+    _add_client_options(p_loadgen)
     p_loadgen.add_argument(
         "--clients",
         type=_positive_int,
@@ -1573,18 +1581,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         help="write the latency report JSON here (default: stdout)",
     )
-    p_loadgen.add_argument(
-        "--token", default=None, metavar="TOKEN", help=token_help
-    )
     p_loadgen.set_defaults(func=_cmd_loadgen)
 
     p_submit = sub.add_parser(
         "submit", help="send a job manifest to a running service"
     )
     p_submit.add_argument("manifest", help="path to the job manifest JSON")
-    p_submit.add_argument(
-        "--connect", required=True, metavar="ADDR", help=connect_help
-    )
+    _add_client_options(p_submit)
     p_submit.add_argument(
         "--priority",
         type=int,
@@ -1595,9 +1598,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="print the raw submit response JSON",
-    )
-    p_submit.add_argument(
-        "--token", default=None, metavar="TOKEN", help=token_help
     )
     p_submit.set_defaults(func=_cmd_submit)
 
@@ -1610,16 +1610,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict to one submission id",
     )
-    p_status.add_argument(
-        "--connect", required=True, metavar="ADDR", help=connect_help
-    )
+    _add_client_options(p_status)
     p_status.add_argument(
         "--json",
         action="store_true",
         help="print the raw status response JSON",
-    )
-    p_status.add_argument(
-        "--token", default=None, metavar="TOKEN", help=token_help
     )
     p_status.set_defaults(func=_cmd_status)
 
@@ -1632,16 +1627,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="job id from 'repro status SUBMISSION' "
         "(daemon: s000001-00003; coordinator: c000001-00003)",
     )
-    p_trace.add_argument(
-        "--connect", required=True, metavar="ADDR", help=connect_help
-    )
+    _add_client_options(p_trace)
     p_trace.add_argument(
         "--json",
         action="store_true",
         help="print the raw trace-v1 document instead of the tree",
-    )
-    p_trace.add_argument(
-        "--token", default=None, metavar="TOKEN", help=token_help
     )
     p_trace.set_defaults(func=_cmd_trace)
 
@@ -1650,9 +1640,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fetch a submission's result records as NDJSON",
     )
     p_results.add_argument("submission", help="submission id")
-    p_results.add_argument(
-        "--connect", required=True, metavar="ADDR", help=connect_help
-    )
+    _add_client_options(p_results)
     p_results.add_argument(
         "--follow",
         action="store_true",
@@ -1664,17 +1652,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the assembled batch-results document here "
         "(the submission must be complete)",
     )
-    p_results.add_argument(
-        "--token", default=None, metavar="TOKEN", help=token_help
-    )
     p_results.set_defaults(func=_cmd_results)
 
     p_shutdown = sub.add_parser(
         "shutdown", help="stop a running service"
     )
-    p_shutdown.add_argument(
-        "--connect", required=True, metavar="ADDR", help=connect_help
-    )
+    _add_client_options(p_shutdown)
     p_shutdown.add_argument(
         "--now",
         action="store_true",
@@ -1686,9 +1669,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="when --connect points at a coordinator: also shut down "
         "every live daemon it knows about",
-    )
-    p_shutdown.add_argument(
-        "--token", default=None, metavar="TOKEN", help=token_help
     )
     p_shutdown.set_defaults(func=_cmd_shutdown)
 

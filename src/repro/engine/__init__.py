@@ -46,7 +46,6 @@ from .jobs import (
     CompileJob,
     JobError,
     effective_config,
-    execute_job,
     job_compiler,
     job_from_doc,
     job_to_doc,
@@ -106,7 +105,6 @@ __all__ = [
     "describe_cache",
     "docs_equal_modulo_timing",
     "effective_config",
-    "execute_job",
     "job_cache_key",
     "job_compiler",
     "job_from_doc",

@@ -7,9 +7,10 @@ the serialization format version and a cache schema version so a change
 to either invalidates every stale entry.  Two jobs collide on a key only
 when they are guaranteed to produce bit-identical programs.
 
-The cached value is the :func:`repro.engine.jobs.execute_job` artifact
-(program JSON text, record summary, compile time).  Every tier that
-holds bytes stores and transfers it through one codec,
+The cached value is the
+:func:`repro.engine.jobs.execute_job_on_circuit` artifact (program JSON
+text, record summary, compile time).  Every tier that holds bytes
+stores and transfers it through one codec,
 :func:`encode_artifact` / :func:`decode_artifact`: a one-line JSON
 header of every field but ``program``, then the program text verbatim,
 so a hit parses the header and never unescapes the program.  Backends:

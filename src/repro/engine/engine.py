@@ -24,8 +24,8 @@ Two consumption styles:
 Failure handling is governed by the ``on_error`` policy:
 
 * ``"raise"`` (default, the historical behaviour) -- the first failing
-  job raises :class:`EngineError`; pending pool futures are cancelled
-  promptly so a large batch neither hangs on unstarted work nor
+  job raises :class:`EngineError`; at most ``workers`` attempts are in
+  flight, so a large batch neither hangs on unstarted work nor
   silently burns CPU after the batch is doomed.
 * ``"collect"`` (fail-soft) -- a failing job becomes a
   :class:`JobResult` whose ``error`` is a :class:`JobFailure`
@@ -36,8 +36,9 @@ Failure handling is governed by the ``on_error`` policy:
 Retries: construct the engine with ``retries=N`` to grant every
 failing job up to ``N`` extra attempts (exponential backoff,
 ``backoff * 2**(attempt-1)`` seconds between attempts) before its
-failure is raised or collected; the :class:`JobResult` records the
-``attempts`` taken and the total ``retry_wait_s`` slept.
+failure is raised or collected; other misses run during a job's
+backoff, at every width.  The :class:`JobResult` records the
+``attempts`` taken and the total ``retry_wait_s`` of backoff.
 
 Determinism: jobs carry explicit seeds and the compilers draw all
 randomness from them, so the engine produces bit-identical programs
@@ -51,9 +52,16 @@ Progress: pass ``progress=callback`` to observe one
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -166,7 +174,7 @@ class JobResult:
         attempts: Number of compilation attempts this outcome took
             (``1`` when the first attempt succeeded or retries are
             disabled; cache hits always count one).
-        retry_wait_s: Total backoff seconds slept between attempts.
+        retry_wait_s: Total backoff seconds scheduled between attempts.
         stats: Run-environment measurements of this result:
             ``"pass_timings"`` (per-pass compile seconds from the
             artifact) and, on cache hits, ``"cache_tier"`` -- the
@@ -273,13 +281,13 @@ class CompilationEngine:
             compiles serially in-process.
         progress: Per-finished-job callback.
         on_error: Failure policy -- ``"raise"`` (first failure raises
-            :class:`EngineError`, pending futures cancelled) or
+            :class:`EngineError`, unstarted work never runs) or
             ``"collect"`` (failures become error-carrying
             :class:`JobResult` entries, every other job completes).
         retries: Extra compilation attempts granted to a failing job
             before its failure is surfaced (``0``, the default,
             preserves the historical single-attempt behaviour).  The
-            attempt count and total backoff slept are recorded on the
+            attempt count and total backoff are recorded on the
             :class:`JobResult`.
         backoff: Base delay in seconds between attempts; attempt ``n``
             waits ``backoff * 2**(n-1)`` before re-running, so
@@ -350,10 +358,10 @@ class CompilationEngine:
         :meth:`run` is exactly this stream re-ordered by it.
 
         Under ``on_error="raise"`` the first failure raises
-        :class:`EngineError` after cancelling pending pool futures;
-        already-yielded results remain valid.  Under ``"collect"``
-        failures are yielded as error results and the stream continues.
-        Abandoning the generator mid-stream cancels pending futures.
+        :class:`EngineError`; already-yielded results remain valid.
+        Under ``"collect"`` failures are yielded as error results and
+        the stream continues.  Raising or abandoning the generator
+        mid-stream starts no further work.
         """
         policy = self.on_error if on_error is None else on_error
         if policy not in ERROR_POLICIES:
@@ -424,7 +432,7 @@ class CompilationEngine:
                 pending.append((index, job, resolve(job), key))
 
         for result in self._compile_pending(
-            pending, total, policy, lookup_spans=lookup_spans
+            pending, total, policy, lookup_spans
         ):
             if result.index in auto_choices and result.ok:
                 result.stats["auto_backend"] = auto_choices[result.index]
@@ -511,221 +519,126 @@ class CompilationEngine:
 
     # ------------------------------------------------------------------
 
-    def _retry_delay(self, attempt: int) -> float:
-        """Backoff before re-running after failed attempt ``attempt``."""
-        return self.backoff * 2 ** (attempt - 1)
-
-    def _execute_with_retries(
-        self,
-        job: CompileJob,
-        circuit: Any,
-        spans: list[dict[str, Any]] | None = None,
-    ) -> tuple[dict[str, Any] | None, Exception | None, int, float]:
-        """Run one job in-process, retrying per the engine policy.
-
-        Returns ``(artifact, final_exception, attempts, waited_s)``;
-        exactly one of artifact / exception is set.  When ``spans`` is
-        given, every attempt appends one raw ``"compile"`` span to it
-        (``attrs`` carry the attempt number, and the exception type on
-        failed attempts -- the retry cause).
-        """
-        waited = 0.0
-        for attempt in range(1, self.retries + 2):
-            start = time.perf_counter()
-            try:
-                artifact = execute_job_on_circuit(job, circuit)
-            except Exception as exc:
-                if spans is not None:
-                    spans.append({
-                        "name": "compile",
-                        "start": start,
-                        "end": time.perf_counter(),
-                        "attrs": {
-                            "attempt": attempt,
-                            "error": type(exc).__name__,
-                        },
-                        "children": [],
-                    })
-                if attempt > self.retries:
-                    return None, exc, attempt, waited
-                delay = self._retry_delay(attempt)
-                if delay:
-                    time.sleep(delay)
-                waited += delay
-                continue
-            if spans is not None:
-                spans.append({
-                    "name": "compile",
-                    "start": start,
-                    "end": time.perf_counter(),
-                    "attrs": {"attempt": attempt},
-                    "children": [],
-                })
-            return artifact, None, attempt, waited
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def _compile_pending(
         self,
         pending: Sequence[tuple[int, CompileJob, Any, str]],
         total: int,
         policy: str,
-        lookup_spans: dict[int, dict[str, Any]] | None = None,
+        lookup_spans: dict[int, dict[str, Any]],
     ) -> Iterator[JobResult]:
         """Yield a :class:`JobResult` for every cache miss.
 
-        Failures are surfaced -- raised or collected -- only after the
-        job's final attempt; earlier attempts retry after exponential
-        backoff (``backoff * 2**(attempt-1)`` seconds).
+        One dispatcher for every width: at most ``workers`` attempts are
+        in flight, on a process pool or -- with one worker or one miss
+        -- in-process through :class:`_InlineExecutor`.  Retries that
+        are due go before new jobs, a failed attempt waits out its
+        backoff (``backoff * 2**(attempt-1)`` seconds) while other work
+        runs, and the loop sleeps only when nothing else can run.  A
+        failure is raised or collected only after the job's final
+        attempt; each completion batch is handled lowest index first,
+        so the reported failure is deterministic.
 
-        The in-process path threads ``lookup_spans`` (per-index cache
-        lookup spans from the dispatch loop) into each result's span
-        list; the pool path drops them -- a partial trace whose compile
-        phase is missing would misreport where the time went.
+        In-process results carry their ``cache.lookup`` span
+        (``lookup_spans``) and one ``compile`` span per attempt; pool
+        results carry none -- a worker's perf counters are not
+        comparable with this process's.
         """
         if not pending:
             return
-        if self.workers == 1 or len(pending) == 1:
-            for index, job, circuit, key in pending:
-                spans: list[dict[str, Any]] = []
-                if lookup_spans and index in lookup_spans:
-                    spans.append(lookup_spans[index])
-                artifact, exc, attempts, waited = (
-                    self._execute_with_retries(job, circuit, spans=spans)
-                )
-                if exc is not None:
-                    failure = _describe_failure(index, job, key, exc)
-                    if policy == "raise":
-                        raise EngineError(
-                            failure.describe(), failure=failure
-                        ) from exc
-                    yield self._failure(
-                        index, total, job, key, exc, failure=failure,
-                        attempts=attempts, retry_wait_s=waited,
-                        spans=spans,
-                    )
+        width = min(self.workers, len(pending))
+        inline = width == 1
+        spans = (
+            {index: [lookup_spans[index]] for index, *_ in pending}
+            if inline
+            else {}
+        )
+        new_jobs = deque(pending)
+        # Failed jobs sitting out their backoff, as (due, index, entry)
+        # on ``time.monotonic``.
+        backoffs: list[tuple[float, int, Any]] = []
+        attempts: dict[int, int] = {}
+        waited: dict[int, float] = {}
+        running: dict[Future, tuple[int, CompileJob, Any, str]] = {}
+        pool = (
+            _InlineExecutor()
+            if inline
+            else ProcessPoolExecutor(max_workers=width)
+        )
+        try:
+            while new_jobs or backoffs or running:
+                while len(running) < width:
+                    if backoffs and backoffs[0][0] <= time.monotonic():
+                        entry = heapq.heappop(backoffs)[2]
+                    elif new_jobs:
+                        entry = new_jobs.popleft()
+                    else:
+                        break
+                    index, job, circuit, _ = entry
+                    attempt = attempts[index] = attempts.get(index, 0) + 1
+                    start = time.perf_counter()
+                    future = pool.submit(execute_job_on_circuit, job, circuit)
+                    running[future] = entry
+                    if inline:
+                        # The attempt already ran; ``error`` names the
+                        # retry cause.
+                        attrs: dict[str, Any] = {"attempt": attempt}
+                        exc = future.exception()
+                        if exc is not None:
+                            attrs["error"] = type(exc).__name__
+                        spans[index].append({
+                            "name": "compile",
+                            "start": start,
+                            "end": time.perf_counter(),
+                            "attrs": attrs,
+                            "children": [],
+                        })
+                if not running:
+                    # Only backoffs are left: sleep to the earliest.
+                    time.sleep(max(0.0, backoffs[0][0] - time.monotonic()))
                     continue
-                yield self._finish(
-                    index, total, job, key, artifact,
-                    attempts=attempts, retry_wait_s=waited,
-                    spans=spans,
+                timeout = (
+                    max(0.0, backoffs[0][0] - time.monotonic())
+                    if backoffs
+                    else None
                 )
-            return
-        max_workers = min(self.workers, len(pending))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            future_info = {
-                pool.submit(execute_job_on_circuit, job, circuit): (
-                    index,
-                    job,
-                    circuit,
-                    key,
+                done, _ = wait(
+                    running, timeout=timeout, return_when=FIRST_COMPLETED
                 )
-                for index, job, circuit, key in pending
-            }
-            # Attempts taken / backoff waited so far, per batch index
-            # (populated lazily: absent means one attempt in flight).
-            attempts_used: dict[int, int] = {}
-            waited_s: dict[int, float] = {}
-            # Failed jobs sitting out their backoff, as
-            # (resubmit_at_monotonic, index, job, circuit, key).  The
-            # dispatcher never sleeps while other futures are running:
-            # backoff deadlines become wait() timeouts, so unrelated
-            # completions keep streaming during a retry delay.
-            backoff_queue: list[tuple[float, int, CompileJob, Any, str]] = []
-            not_done = set(future_info)
-            try:
-                while not_done or backoff_queue:
-                    now = time.monotonic()
-                    for entry in [
-                        e for e in backoff_queue if e[0] <= now
-                    ]:
-                        backoff_queue.remove(entry)
-                        _, index, job, circuit, key = entry
-                        retry = pool.submit(
-                            execute_job_on_circuit, job, circuit
-                        )
-                        future_info[retry] = (index, job, circuit, key)
-                        not_done.add(retry)
-                    if not not_done:
-                        # Only backoffs pending: sleep to the nearest
-                        # resubmission deadline.
-                        time.sleep(
-                            max(
-                                0.0,
-                                min(e[0] for e in backoff_queue) - now,
-                            )
-                        )
-                        continue
-                    timeout = None
-                    if backoff_queue:
-                        timeout = max(
-                            0.0,
-                            min(e[0] for e in backoff_queue)
-                            - time.monotonic(),
-                        )
-                    done, not_done = wait(
-                        not_done,
-                        timeout=timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    # Process each completion batch in submission order
-                    # so failure handling (and progress) is
-                    # deterministic -- the lowest-index failure in a
-                    # batch is the one reported.
-                    for future in sorted(
-                        done, key=lambda f: future_info[f][0]
-                    ):
-                        index, job, circuit, key = future_info.pop(
-                            future
-                        )
-                        attempts = attempts_used.get(index, 0) + 1
-                        try:
-                            artifact = future.result()
-                        except Exception as exc:
-                            if attempts <= self.retries:
-                                delay = self._retry_delay(attempts)
-                                attempts_used[index] = attempts
-                                waited_s[index] = (
-                                    waited_s.get(index, 0.0) + delay
-                                )
-                                backoff_queue.append(
-                                    (
-                                        time.monotonic() + delay,
-                                        index,
-                                        job,
-                                        circuit,
-                                        key,
-                                    )
-                                )
-                                continue
-                            failure = _describe_failure(
-                                index, job, key, exc
-                            )
-                            if policy == "raise":
-                                # Drop queued work promptly; running
-                                # futures finish, unstarted ones never
-                                # run.
-                                pool.shutdown(
-                                    wait=False, cancel_futures=True
-                                )
-                                raise EngineError(
-                                    failure.describe(), failure=failure
-                                ) from exc
-                            yield self._failure(
-                                index, total, job, key, exc,
-                                failure=failure, attempts=attempts,
-                                retry_wait_s=waited_s.get(index, 0.0),
-                            )
-                            continue
+                for future in sorted(done, key=lambda f: running[f][0]):
+                    entry = running.pop(future)
+                    index, job, _, key = entry
+                    exc = future.exception()
+                    if exc is None:
                         yield self._finish(
-                            index, total, job, key, artifact,
-                            attempts=attempts,
-                            retry_wait_s=waited_s.get(index, 0.0),
+                            index, total, job, key, future.result(),
+                            attempts=attempts[index],
+                            retry_wait_s=waited.get(index, 0.0),
+                            spans=spans.get(index),
                         )
-            except GeneratorExit:
-                # Consumer abandoned the stream: do not block on (or
-                # run) work nobody will read.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
+                    elif attempts[index] <= self.retries:
+                        delay = self.backoff * 2 ** (attempts[index] - 1)
+                        waited[index] = waited.get(index, 0.0) + delay
+                        heapq.heappush(
+                            backoffs, (time.monotonic() + delay, index, entry)
+                        )
+                    else:
+                        failure = _describe_failure(index, job, key, exc)
+                        if policy == "raise":
+                            raise EngineError(
+                                failure.describe(), failure=failure
+                            ) from exc
+                        yield self._failure(
+                            index, total, job, key, exc, failure=failure,
+                            attempts=attempts[index],
+                            retry_wait_s=waited.get(index, 0.0),
+                            spans=spans.get(index),
+                        )
+        except BaseException:
+            # A raise or an abandoned stream: running attempts finish
+            # unread, unsubmitted work never starts.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()
 
     def _finish(
         self,
@@ -868,6 +781,24 @@ class CompilationEngine:
                     failed=failed,
                 )
             )
+
+
+class _InlineExecutor:
+    """The in-process executor: each call runs at submit, so the
+    dispatcher's one slot always holds a finished future."""
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(
+        self, wait: bool = True, *, cancel_futures: bool = False
+    ) -> None:
+        """Nothing runs in the background, so there is nothing to stop."""
 
 
 def _lookup_span(

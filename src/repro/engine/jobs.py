@@ -12,10 +12,10 @@ unchanged, and every stochastic choice downstream flows from the job's
 explicit ``seed`` -- two executions of the same job, in any process,
 produce bit-identical programs.
 
-:func:`execute_job` is the pure worker function: job in, serialized
-program artifact (plus its record summary) out.  It lives at module
-level so ``concurrent.futures`` process pools can pickle it.  Compilers
-are resolved through the backend registry.
+:func:`execute_job_on_circuit` is the pure worker function: job and
+its circuit in, serialized program artifact (plus its record summary)
+out.  It lives at module level so ``concurrent.futures`` process pools
+can pickle it.  Compilers are resolved through the backend registry.
 """
 
 from __future__ import annotations
@@ -440,11 +440,6 @@ def execute_job_on_circuit(
     }
 
 
-def execute_job(job: CompileJob) -> dict[str, Any]:
-    """Resolve the job's circuit and compile it (process-pool entry)."""
-    return execute_job_on_circuit(job, job.resolve_circuit())
-
-
 __all__ = [
     "AUTO_BACKEND",
     "CompileJob",
@@ -454,7 +449,6 @@ __all__ = [
     "SUMMARY_FIELDS",
     "benchmark_digest",
     "effective_config",
-    "execute_job",
     "execute_job_on_circuit",
     "job_compiler",
     "job_from_doc",

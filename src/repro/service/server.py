@@ -18,13 +18,14 @@ A :class:`ServiceServer` ties together the three service halves:
   ``completed_ttl``) finished submissions are garbage-collected by
   the maintenance loop;
 * a pool of **leased workers** -- threads that lease jobs from the
-  queue and execute them through the existing
-  :class:`~repro.engine.CompilationEngine` (one engine per worker,
-  sharing one program cache) with per-job retry-with-backoff and
-  ``on_error="collect"``, so a failing job becomes an error record
-  instead of a dead daemon.  A plain cache hit never reaches them:
-  ``submit`` answers it from the local cache tiers and the job is
-  finished inside the submission's fsynced submit line.
+  queue and execute them through the daemon's one
+  :class:`~repro.engine.CompilationEngine` (it holds no per-run
+  state, so the threads share it and its program cache) with per-job
+  retry-with-backoff and ``on_error="collect"``, so a failing job
+  becomes an error record instead of a dead daemon.  A plain cache
+  hit never reaches them: ``submit`` answers it from the local cache
+  tiers through the same engine, and the job is finished inside the
+  submission's fsynced submit line.
 
 The daemon is the only process on its queue directory, so a job is
 running exactly while one of its workers holds it.  A worker whose
@@ -109,9 +110,9 @@ def _trace_doc(
     """A finished job's ``trace-v1`` document.
 
     ``origin`` is the ``time.perf_counter()`` instant of the enqueue,
-    so offset ``0.0`` starts the ``queue.wait`` span.  Daemon engines
-    are serial (``workers=1``), so they recorded raw perf-counter spans;
-    those are shifted onto the same timeline.
+    so offset ``0.0`` starts the ``queue.wait`` span.  The daemon's
+    engine is serial (``workers=1``), so it recorded raw perf-counter
+    spans; those are shifted onto the same timeline.
     """
     trace = Trace(
         "job",
@@ -211,12 +212,13 @@ class ServiceServer(AsyncServerCore):
             cache = make_cache(cache)
         self.queue = JobQueue(queue_dir)
         self.cache = cache
-        # Answers plain cache hits at submit (``_enqueue``); it only
-        # reads the cache, so concurrent submits share it.
-        self._front = CompilationEngine(cache=cache, on_error="collect")
+        # Answers plain cache hits at submit (``_enqueue``) and runs
+        # every leased job; it holds no per-run state, so concurrent
+        # submits and worker threads share it.
+        self.engine = CompilationEngine(
+            cache, on_error="collect", retries=retries, backoff=backoff
+        )
         self.workers = workers
-        self.retries = retries
-        self.backoff = backoff
         self.completed_ttl = completed_ttl
         self.announce = announce
         self.metrics_address = metrics_address
@@ -353,13 +355,6 @@ class ServiceServer(AsyncServerCore):
     # -- workers -------------------------------------------------------
 
     def _worker_loop(self, worker_id: str) -> None:
-        engine = CompilationEngine(
-            cache=self.cache,
-            workers=1,
-            on_error="collect",
-            retries=self.retries,
-            backoff=self.backoff,
-        )
         try:
             while not self._stopping.is_set():
                 record = self.queue.lease(
@@ -374,7 +369,7 @@ class ServiceServer(AsyncServerCore):
                         self.queue.changed.wait(timeout=0.2)
                     continue
                 try:
-                    self._execute(engine, record, worker_id)
+                    self._execute(record, worker_id)
                 except Exception:
                     self._log(
                         f"{worker_id}: job {record['id']} failed; "
@@ -400,12 +395,7 @@ class ServiceServer(AsyncServerCore):
             if tenant.max_running_jobs is not None
         }
 
-    def _execute(
-        self,
-        engine: CompilationEngine,
-        record: dict[str, Any],
-        worker_id: str = "",
-    ) -> None:
+    def _execute(self, record: dict[str, Any], worker_id: str = "") -> None:
         """Run one leased job: trace it, meter it, complete it.
 
         The job's :class:`~repro.obs.trace.Trace` origin is back-dated
@@ -432,7 +422,7 @@ class ServiceServer(AsyncServerCore):
         result = None
         job = self.queue.compile_job(record)
         try:
-            [result] = engine.run([job])
+            [result] = self.engine.run([job])
             result_record = job_record(result, record["index"])
         except Exception as exc:  # the job's fault: record it, no requeue
             result_record = error_record(
@@ -684,7 +674,7 @@ class ServiceServer(AsyncServerCore):
             job_id: str, index: int, job: CompileJob, key: str
         ) -> dict[str, Any] | None:
             start = time.perf_counter()
-            result = self._front.cached_result(job, key, index)
+            result = self.engine.cached_result(job, key, index)
             if result is None:
                 return None
             backend = job.backend or job.scenario

@@ -34,6 +34,72 @@ class TestParser:
         assert args.storage is False
 
 
+class TestClientOptions:
+    """The six service-client commands share one --connect / --token
+    declaration; each keeps every option it had."""
+
+    OPTIONS = {
+        "loadgen": {
+            "--backend", "--benchmark", "--clients", "--distinct",
+            "--duration", "--output", "--progress", "--rate", "--scrape",
+            "--seed",
+        },
+        "submit": {"--json", "--priority"},
+        "status": {"--json"},
+        "trace": {"--json"},
+        "results": {"--follow", "--output"},
+        "shutdown": {"--fleet", "--now"},
+    }
+    POSITIONALS = {
+        "submit": ["m.json"], "trace": ["s000001-00000"],
+        "results": ["s000001"],
+    }
+
+    @staticmethod
+    def _subparser(name):
+        import argparse
+
+        [action] = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        return action.choices[name]
+
+    @pytest.mark.parametrize("name", sorted(OPTIONS))
+    def test_option_strings_pinned(self, name):
+        parser = self._subparser(name)
+        options = {
+            option for action in parser._actions
+            for option in action.option_strings
+        }
+        expected = self.OPTIONS[name] | {"--connect", "--token"}
+        assert options == expected | {"-h", "--help"}
+
+    @pytest.mark.parametrize("name", sorted(OPTIONS))
+    def test_connect_required_and_token_defaults_to_none(
+        self, name, capsys
+    ):
+        argv = [name, *self.POSITIONALS.get(name, [])]
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "--connect" in capsys.readouterr().err
+        args = build_parser().parse_args([*argv, "--connect", "h:1"])
+        assert args.connect == "h:1"
+        assert args.token is None
+
+    def test_token_flag_wins_over_environment(self, monkeypatch):
+        from repro.cli import _resolve_token
+
+        monkeypatch.setenv("REPRO_TOKEN", "from-env")
+        argv = ["status", "--connect", "h:1"]
+        assert _resolve_token(build_parser().parse_args(argv)) == (
+            "from-env"
+        )
+        args = build_parser().parse_args([*argv, "--token", "flag"])
+        assert _resolve_token(args) == "flag"
+
+
 class TestCompileCommand:
     def test_basic_compile(self, qasm_file, capsys):
         assert main(["compile", qasm_file]) == 0

@@ -21,7 +21,6 @@ from repro.engine import (
     NullCache,
     docs_equal_modulo_timing,
     effective_config,
-    execute_job,
     job_cache_key,
     parse_manifest,
     results_doc,
@@ -31,6 +30,7 @@ from repro.engine.cache import (
     encode_artifact,
     encoded_artifact_size,
 )
+from repro.engine.jobs import execute_job_on_circuit
 from repro.schedule.serialize import program_to_dict
 
 #: Fast Enola knobs for whole-suite runs.
@@ -108,7 +108,7 @@ class TestCompileJob:
 
     def test_execute_job_returns_artifact(self):
         job = CompileJob(scenario="pm_with_storage", benchmark="BV-14")
-        artifact = execute_job(job)
+        artifact = execute_job_on_circuit(job, job.resolve_circuit())
         assert json.loads(artifact["program"])["format"] == "repro-naprogram"
         assert artifact["compile_time"] > 0.0
         assert artifact["validated"] is True

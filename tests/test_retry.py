@@ -116,6 +116,123 @@ class TestPoolRetries:
             engine.run([poison_job(), good_job(0), good_job(1)])
 
 
+class _Scripted:
+    """Stand-in worker recording every call: the first call of each
+    ``flaky`` job fails, every other call returns the job's artifact,
+    compiled once up front so the calls themselves take microseconds."""
+
+    def __init__(self, jobs, flaky=()):
+        self.artifacts = {
+            job.label: execute_job_on_circuit(job, job.resolve_circuit())
+            for job in jobs
+        }
+        self.flaky = {job.label for job in flaky}
+        self.calls: list[str] = []
+
+    def __call__(self, job, circuit):
+        self.calls.append(job.label)
+        if job.label in self.flaky and self.calls.count(job.label) == 1:
+            raise RuntimeError("transient failure")
+        return dict(self.artifacts[job.label])
+
+
+class TestOneDispatcher:
+    """Serial and pool misses run through one dispatcher loop."""
+
+    def test_zero_backoff_retry_runs_before_the_next_job(
+        self, monkeypatch
+    ):
+        jobs = [good_job(seed) for seed in range(3)]
+        worker = _Scripted(jobs, flaky=jobs[:1])
+        monkeypatch.setattr(
+            engine_module, "execute_job_on_circuit", worker
+        )
+        engine = CompilationEngine(retries=1, backoff=0.0)
+        streamed = list(engine.stream(jobs))
+        assert [r.index for r in streamed] == [0, 1, 2]
+        labels = [job.label for job in jobs]
+        assert worker.calls == [labels[0], *labels]
+        assert streamed[0].attempts == 2
+        assert streamed[0].retry_wait_s == 0.0
+
+    def test_serial_backoff_lets_other_jobs_run(self, monkeypatch):
+        jobs = [good_job(seed) for seed in range(3)]
+        worker = _Scripted(jobs, flaky=jobs[:1])
+        monkeypatch.setattr(
+            engine_module, "execute_job_on_circuit", worker
+        )
+        engine = CompilationEngine(retries=1, backoff=0.3)
+        streamed = list(engine.stream(jobs))
+        # Both good jobs finish during the flaky job's backoff; its
+        # retry runs once nothing else can.
+        assert [r.index for r in streamed] == [1, 2, 0]
+        labels = [job.label for job in jobs]
+        assert worker.calls == [*labels, labels[0]]
+        assert all(r.ok for r in streamed)
+        assert streamed[-1].attempts == 2
+        assert streamed[-1].retry_wait_s == 0.3
+
+    def test_pool_holds_at_most_workers_attempts(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        jobs = [good_job(seed) for seed in range(9)]
+        worker = _Scripted(jobs)
+        counts = {"submitted": 0, "read": 0, "peak": 0}
+
+        class CountingPool(ThreadPoolExecutor):
+            """Counts attempts submitted but not yet streamed back."""
+
+            def submit(self, fn, *args):
+                counts["submitted"] += 1
+                counts["peak"] = max(
+                    counts["peak"], counts["submitted"] - counts["read"]
+                )
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(
+            engine_module, "execute_job_on_circuit", worker
+        )
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", CountingPool)
+        engine = CompilationEngine(workers=2)
+        for result in engine.stream(jobs):
+            assert result.ok
+            counts["read"] += 1
+        assert counts["read"] == counts["submitted"] == 9
+        assert counts["peak"] == 2
+
+
+class TestDaemonEngine:
+    def test_one_engine_per_daemon(self, tmp_path, monkeypatch):
+        from repro.service import ServiceClient, ServiceServer
+
+        built = []
+        real_init = CompilationEngine.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompilationEngine, "__init__", spy)
+        server = ServiceServer(
+            str(tmp_path / "queue"), "127.0.0.1:0", workers=2
+        ).start()
+        try:
+            client = ServiceClient(server.address)
+            client.wait_ready()
+            submitted = client.submit(
+                {"jobs": [{"benchmark": "BV-14", "backend": "powermove"}]}
+            )
+            records = list(
+                client.results(submitted["submission"], follow=True)
+            )
+            assert [r["status"] for r in records] == ["ok"]
+        finally:
+            server.stop(drain=False)
+        # Submit-time hits and both worker threads share it.
+        assert len(built) == 1
+        assert built[0] is server.engine
+
+
 class TestRecordSchema:
     def test_attempts_absent_on_single_attempt_records(self):
         engine = CompilationEngine()
